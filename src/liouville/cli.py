@@ -33,7 +33,7 @@ from .pohozaev import (
     pohozaev_residual,
     solve_mass_on_hypersurface,
 )
-from .series import build_generating_function, coefficients_aligned
+from .series import build_generating_function
 from .solver import (
     FieldSet,
     SolverOptions,

@@ -26,12 +26,13 @@ from .errors import (
     ZeroMass,
 )
 from .matrix import InteractionMatrix, as_interaction_matrix, check_h1, check_h2
-from .series import build_generating_function, coefficients_aligned
 from .spectrum import (
     DEFAULT_CRITICAL_TOL,
+    DEFAULT_LEVEL_LIMIT,
     DEFAULT_MERGE_TOL,
+    CriticalSpectrum,
     SingularitySet,
-    enumerate_spectrum,
+    _levels_and_coefficients,
     locate_region,
 )
 
@@ -179,11 +180,16 @@ def leray_schauder_degree(
     q = normalized_energy(p.rho, p.matrix)
     if q > cap:
         raise OutOfRange(f"normalized energy {q!r} exceeds the cap {cap!r}")
-    spectrum = enumerate_spectrum(p.singularities, cap, merge_tol)
-    g = build_generating_function(p.surface.chi, p.singularities, cap, merge_tol)
+    levels, coefficients = _levels_and_coefficients(
+        p.singularities,
+        cap,
+        merge_tol,
+        DEFAULT_LEVEL_LIMIT,
+        exponent=p.surface.chi - p.singularities.count,
+    )
+    spectrum = CriticalSpectrum(levels, float(cap), float(merge_tol))
     k = locate_region(q, spectrum, tol)
-    aligned = coefficients_aligned(g, spectrum)
-    partial = tuple(coeff for _, coeff in aligned[: k + 1])
+    partial = (1,) + coefficients[:k]
     return DegreeResult(
         degree=int(sum(partial)),
         region_k=k,

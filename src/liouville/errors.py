@@ -43,10 +43,6 @@ class OutOfRange(LiouvilleError):
     """Queried energy exceeds the enumerated part of the spectrum."""
 
 
-class UnalignedExponent(LiouvilleError):
-    """Series carries a nonzero term off every spectrum level."""
-
-
 class CoefficientOverflow(LiouvilleError):
     """Series coefficient left the signed 64-bit range."""
 

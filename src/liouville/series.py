@@ -2,149 +2,51 @@
 
 The counting function is (1-x)^(chi-N) * prod_l (1 - x^(1+gamma_l)),
 expanded with exponents of the form m + sum of (1+gamma_l) over a
-subset of sources, exactly the critical levels. Exponents are tracked
-by their exact (m, subset) identity so coincident values merge the
-same way the spectrum merges them.
+subset of sources, exactly the critical levels. The expansion comes
+from the same single enumeration as the spectrum, so every term sits on
+a spectrum level bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import CoefficientOverflow, UnalignedExponent
 from .spectrum import (
     DEFAULT_MERGE_TOL,
-    CriticalSpectrum,
-    ExponentKey,
     SingularitySet,
+    _levels_and_coefficients,
 )
 
 __all__ = [
     "GeneralizedSeries",
-    "expand_base",
-    "multiply_singular_factor",
     "build_generating_function",
-    "coefficients_aligned",
 ]
-
-_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
 class GeneralizedSeries:
     """Finite sum of integer coefficients against real exponents.
 
-    ``mus`` lists the shift amounts 1+gamma of the singular factors
-    applied so far, in order; term keys carry subset masks over them.
-    Canonical exponent values of distinct terms differ by more than
-    ``merge_tol``.
+    The constant term is 1; ``coefficients[j]`` belongs to the critical
+    level ``levels[j]`` and is zero where its contributions cancel.
     """
 
-    mus: tuple[float, ...]
-    terms: dict[ExponentKey, int]
+    levels: tuple[float, ...]
+    coefficients: tuple[int, ...]
     cap: float
     merge_tol: float
 
     def sorted_terms(self) -> list[tuple[float, int]]:
-        """(exponent value, coefficient) pairs in increasing exponent order."""
-        out = [(key.value(self.mus), c) for key, c in self.terms.items()]
-        out.sort()
+        """(exponent value, coefficient) pairs in increasing exponent
+        order, zero coefficients left out."""
+        out = [(0.0, 1)]
+        out.extend(
+            (level, c) for level, c in zip(self.levels, self.coefficients) if c
+        )
         return out
 
     def constant_term(self) -> int:
-        return self.terms.get(ExponentKey(0, 0), 0)
-
-
-def _merged(
-    mus: tuple[float, ...],
-    raw: list[tuple[ExponentKey, int]],
-    cap: float,
-    merge_tol: float,
-) -> dict[ExponentKey, int]:
-    """Cluster raw terms by exponent value; each cluster keeps its
-    smallest (value, key) as canonical and sums coefficients."""
-    decorated = sorted(
-        (key.value(mus), key, coeff) for key, coeff in raw
-    )
-    terms: dict[ExponentKey, int] = {}
-    anchor_value = None
-    anchor_key = None
-    acc = 0
-    for value, key, coeff in decorated:
-        if value > cap:
-            break
-        if anchor_value is None or value - anchor_value > merge_tol:
-            if anchor_key is not None and acc != 0:
-                terms[anchor_key] = acc
-            anchor_value, anchor_key, acc = value, key, coeff
-        else:
-            acc += coeff
-    if anchor_key is not None and acc != 0:
-        terms[anchor_key] = acc
-    for key, coeff in terms.items():
-        if abs(coeff) > _INT64_MAX:
-            raise CoefficientOverflow(
-                f"coefficient {coeff} at exponent {key.value(mus)!r} "
-                f"leaves the signed 64-bit range"
-            )
-    return terms
-
-
-def expand_base(
-    chi: int,
-    n_sources: int,
-    cap: float,
-    merge_tol: float = DEFAULT_MERGE_TOL,
-) -> GeneralizedSeries:
-    """Expansion of (1-x)^(chi - N) at integer exponents up to ``cap``.
-
-    For chi - N >= 0 this is the finite binomial polynomial; otherwise
-    the coefficients are C(m + K - 1, K - 1) with K = N - chi.
-    """
-    if not (cap > 0.0) or not math.isfinite(cap):
-        raise ValueError(f"cap must be positive and finite, got {cap!r}")
-    chi = int(chi)
-    n_sources = int(n_sources)
-    if n_sources < 0:
-        raise ValueError("number of sources must be nonnegative")
-    e = chi - n_sources
-    m_top = math.floor(cap)
-    raw: list[tuple[ExponentKey, int]] = []
-    if e >= 0:
-        for m in range(0, min(e, m_top) + 1):
-            raw.append((ExponentKey(m, 0), (-1) ** m * math.comb(e, m)))
-    else:
-        k = -e
-        for m in range(0, m_top + 1):
-            raw.append((ExponentKey(m, 0), math.comb(m + k - 1, k - 1)))
-    return GeneralizedSeries((), _merged((), raw, float(cap), merge_tol),
-                             float(cap), float(merge_tol))
-
-
-def multiply_singular_factor(
-    series: GeneralizedSeries, gamma: float
-) -> GeneralizedSeries:
-    """Multiply by (1 - x^(1+gamma)), truncating past the series cap.
-
-    The shift amount 1+gamma is appended to the series context; shifted
-    terms carry the new subset bit.
-    """
-    mu = 1.0 + float(gamma)
-    if not (mu > 0.0):
-        raise ValueError(f"gamma = {gamma!r} must exceed -1")
-    new_mus = series.mus + (mu,)
-    bit = 1 << len(series.mus)
-    raw: list[tuple[ExponentKey, int]] = []
-    for key, coeff in series.terms.items():
-        raw.append((key, coeff))
-        raw.append((ExponentKey(key.m, key.subset | bit), -coeff))
-    return GeneralizedSeries(
-        new_mus,
-        _merged(new_mus, raw, series.cap, series.merge_tol),
-        series.cap,
-        series.merge_tol,
-    )
+        return 1
 
 
 def build_generating_function(
@@ -161,65 +63,10 @@ def build_generating_function(
     ValueError
         If some 1+gamma_l <= merge_tol: the singular factor would merge
         into the constant term and cancel it.
+    CoefficientOverflow
+        If a coefficient leaves the signed 64-bit range.
     """
-    for l, mu in enumerate(singularities.mus):
-        if mu <= merge_tol:
-            raise ValueError(
-                f"gamma[{l}] is within merge tolerance of -1; "
-                f"the expansion cannot resolve it"
-            )
-    g = expand_base(chi, singularities.count, cap, merge_tol)
-    for gamma in singularities.gammas:
-        g = multiply_singular_factor(g, gamma)
-    if g.constant_term() != 1:
-        raise RuntimeError(
-            "internal error: generating function lost its unit constant term"
-        )
-    return g
-
-
-def coefficients_aligned(
-    series: GeneralizedSeries, spectrum: CriticalSpectrum
-) -> tuple[tuple[float, int], ...]:
-    """Coefficients laid out against the spectrum: (0, b_0) then one
-    (n_j, b_j) pair per level, zero where the series has no term.
-
-    Raises
-    ------
-    UnalignedExponent
-        If a nonzero positive-exponent term sits farther than the merge
-        tolerance from every level. Cannot happen when series and
-        spectrum come from the same sources and cap.
-    """
-    if series.merge_tol != spectrum.merge_tol:
-        raise ValueError("series and spectrum use different merge tolerances")
-    if series.cap != spectrum.cap:
-        raise ValueError("series and spectrum use different caps")
-    levels = spectrum.levels
-    coeffs = [0] * len(levels)
-    tol = series.merge_tol
-    for value, coeff in series.sorted_terms():
-        if value <= tol:
-            continue  # constant term, reported separately
-        best = None
-        best_gap = None
-        for j in _neighbor_indices(levels, value):
-            gap = abs(value - levels[j])
-            if best_gap is None or gap < best_gap:
-                best, best_gap = j, gap
-        if best is None or best_gap is None or best_gap > tol:
-            raise UnalignedExponent(
-                f"series exponent {value!r} matches no spectrum level "
-                f"within {tol!r}"
-            )
-        coeffs[best] += coeff
-    out = [(0.0, series.constant_term())]
-    out.extend((levels[j], coeffs[j]) for j in range(len(levels)))
-    return tuple(out)
-
-
-def _neighbor_indices(levels: tuple[float, ...], value: float) -> list[int]:
-    from bisect import bisect_left
-
-    idx = bisect_left(levels, value)
-    return [i for i in (idx - 1, idx) if 0 <= i < len(levels)]
+    levels, coefficients = _levels_and_coefficients(
+        singularities, cap, merge_tol, exponent=int(chi) - singularities.count
+    )
+    return GeneralizedSeries(levels, coefficients, float(cap), float(merge_tol))

@@ -11,15 +11,18 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import OnCriticalSurface, OutOfRange, TooManyLevels
+from .errors import (
+    CoefficientOverflow,
+    OnCriticalSurface,
+    OutOfRange,
+    TooManyLevels,
+)
 
 __all__ = [
     "SingularitySet",
-    "ExponentKey",
     "CriticalSpectrum",
     "enumerate_spectrum",
     "locate_region",
@@ -28,6 +31,8 @@ __all__ = [
 DEFAULT_MERGE_TOL = 1e-9
 DEFAULT_LEVEL_LIMIT = 10**6
 DEFAULT_CRITICAL_TOL = 1e-8
+
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -77,35 +82,6 @@ class SingularitySet:
         return float(sum(self.gammas))
 
 
-class ExponentKey(NamedTuple):
-    """Exact exponent identity: ladder index m plus a source subset mask."""
-
-    m: int
-    subset: int
-
-    def value(self, mus: tuple[float, ...]) -> float:
-        # Ascending-bit accumulation; enumerate_spectrum uses the same
-        # order so equal keys give bit-identical floats everywhere.
-        s = 0.0
-        mask = self.subset
-        l = 0
-        while mask:
-            if mask & 1:
-                s += mus[l]
-            mask >>= 1
-            l += 1
-        return float(self.m) + s
-
-
-def _subset_sums(mus: tuple[float, ...]) -> np.ndarray:
-    """All 2^N subset sums, accumulated over bits in ascending order."""
-    sums = np.zeros(1 << len(mus))
-    for l, mu in enumerate(mus):
-        half = 1 << l
-        sums[half : 2 * half] = sums[:half] + mu
-    return sums
-
-
 @dataclass(frozen=True)
 class CriticalSpectrum:
     """Strictly increasing normalized levels n_1 < n_2 < ... within (0, cap]."""
@@ -138,28 +114,133 @@ def enumerate_spectrum(
     TooManyLevels
         If the candidate count (ceil(cap)+1) * 2^N exceeds ``limit``.
     """
+    levels, _ = _levels_and_coefficients(singularities, cap, merge_tol, limit)
+    return CriticalSpectrum(levels, float(cap), float(merge_tol))
+
+
+def _levels_and_coefficients(
+    singularities: SingularitySet,
+    cap: float,
+    merge_tol: float,
+    limit: int | None = None,
+    exponent: int | None = None,
+) -> tuple[tuple[float, ...], tuple[int, ...] | None]:
+    """The one enumeration of critical levels, shared by spectrum,
+    series and degree.
+
+    Candidates are m + mu_S for integers m >= 0 and source subsets S,
+    with mu_S accumulated in ascending source order, so every caller
+    sees the same floats. Candidates in (0, cap] are sorted once and
+    merged once: a value joins the open level while it lies within
+    ``merge_tol`` of the level's smallest member, which names the level.
+
+    With an ``exponent`` e, each level also gets its coefficient in
+    (1-x)^e * prod_l (1 - x^mu_l): the exact sum of (-1)^|S| c_m over
+    its candidates, c_m being the x^m coefficient of (1-x)^e. The
+    constant term c_0 = 1 is not a level.
+
+    Raises
+    ------
+    ValueError
+        If ``cap`` is not positive and finite, ``merge_tol`` is not
+        finite and nonnegative, or, with an exponent, some
+        1+gamma_l <= merge_tol: that factor would merge into the
+        constant term and cancel it.
+    TooManyLevels
+        If a ``limit`` is given and (ceil(cap)+1) * 2^N exceeds it.
+    CoefficientOverflow
+        If a coefficient of (1-x)^e or of the product leaves the signed
+        64-bit range.
+    """
     if not (cap > 0.0) or not math.isfinite(cap):
         raise ValueError(f"cap must be positive and finite, got {cap!r}")
-    if merge_tol < 0.0:
-        raise ValueError("merge_tol must be nonnegative")
-    mus = singularities.mus
-    m_max = math.ceil(cap)
-    candidates = (m_max + 1) * (1 << len(mus))
-    if candidates > limit:
-        raise TooManyLevels(
-            f"{candidates} candidate levels exceed the limit {limit}; "
-            f"reduce cap or the number of sources"
+    if not (merge_tol >= 0.0) or not math.isfinite(merge_tol):
+        raise ValueError(
+            f"merge_tol must be finite and nonnegative, got {merge_tol!r}"
         )
-    sums = _subset_sums(mus)
-    grid = np.arange(m_max + 1, dtype=np.float64)[:, None] + sums[None, :]
-    values = grid.ravel()
-    values = values[(values > 0.0) & (values <= cap)]
-    values.sort()
-    levels: list[float] = []
-    for v in values:
-        if not levels or v - levels[-1] > merge_tol:
-            levels.append(float(v))
-    return CriticalSpectrum(tuple(levels), float(cap), float(merge_tol))
+    mus = singularities.mus
+    if limit is not None:
+        candidates = (math.ceil(cap) + 1) * (1 << len(mus))
+        if candidates > limit:
+            raise TooManyLevels(
+                f"{candidates} candidate levels exceed the limit {limit}; "
+                f"reduce cap or the number of sources"
+            )
+    top = math.floor(cap)
+    if exponent is not None:
+        for l, mu in enumerate(mus):
+            if mu <= merge_tol:
+                raise ValueError(
+                    f"gamma[{l}] is within merge tolerance of -1; "
+                    f"the expansion cannot resolve it"
+                )
+        ladder = _binomial_ladder(exponent, top)
+
+    # Distinct subset sums with their signed counts sum_S (-1)^|S|.
+    # Every mu is positive, so a partial sum above the cap stays above
+    # it and can be dropped; equal partial sums stay equal under the
+    # same additions and can be pooled. Neither loses a candidate.
+    sums = np.zeros(1)
+    signs = np.ones(1, dtype=np.int64)
+    for mu in mus:
+        shifted = sums + mu
+        keep = shifted <= cap
+        sums, inverse = np.unique(
+            np.concatenate((sums, shifted[keep])), return_inverse=True
+        )
+        pooled = np.zeros(sums.size, dtype=np.int64)
+        np.add.at(pooled, inverse, np.concatenate((signs, -signs[keep])))
+        signs = pooled
+
+    flat = (np.arange(top + 1, dtype=np.float64)[:, None] + sums).ravel()
+    kept = np.flatnonzero((flat > 0.0) & (flat <= cap))
+    kept = kept[np.argsort(flat[kept])]
+    values = flat[kept]
+    # Equal floats always share a level, so only distinct values are walked.
+    distinct = np.flatnonzero(np.diff(values, prepend=-np.inf) > 0.0)
+    starts: list[int] = []
+    anchor = -math.inf
+    for i, v in zip(distinct.tolist(), values[distinct].tolist()):
+        if v - anchor > merge_tol:
+            starts.append(i)
+            anchor = v
+    levels = tuple(values[starts].tolist())
+    if exponent is None:
+        return levels, None
+
+    m, j = np.divmod(kept, sums.size)
+    widest = int(np.diff(starts, append=values.size).max(initial=0))
+    bound = max(map(abs, ladder)) * int(np.abs(signs).max()) * widest
+    dtype = np.int64 if bound <= _INT64_MAX else object
+    terms = signs.astype(dtype)[j] * np.array(ladder, dtype=dtype)[m]
+    coefficients = np.add.reduceat(terms, starts).tolist()
+    if dtype is object:
+        for level, c in zip(levels, coefficients):
+            _check_int64(c, level)
+    return levels, tuple(coefficients)
+
+
+def _binomial_ladder(e: int, top: int) -> list[int]:
+    """Coefficients c_0..c_top of (1-x)^e.
+
+    For e >= 0 this is the finite binomial row; otherwise
+    c_m = C(m + K - 1, K - 1) with K = -e.
+    """
+    if e >= 0:
+        ladder = [(-1) ** m * math.comb(e, m) for m in range(top + 1)]
+    else:
+        ladder = [math.comb(m - e - 1, -e - 1) for m in range(top + 1)]
+    for m, c in enumerate(ladder):
+        _check_int64(c, float(m))
+    return ladder
+
+
+def _check_int64(coefficient: int, exponent: float) -> None:
+    if abs(coefficient) > _INT64_MAX:
+        raise CoefficientOverflow(
+            f"coefficient {coefficient} at exponent {exponent!r} "
+            f"leaves the signed 64-bit range"
+        )
 
 
 def locate_region(
@@ -173,6 +254,8 @@ def locate_region(
 
     Raises
     ------
+    ValueError
+        If q is not positive or ``tol`` is not finite and nonnegative.
     OnCriticalSurface
         If q lies within ``tol`` of some level n_k.
     OutOfRange
@@ -181,6 +264,10 @@ def locate_region(
     """
     if not (q > 0.0):
         raise ValueError(f"normalized energy must be positive, got {q!r}")
+    if not (tol >= 0.0) or not math.isfinite(tol):
+        raise ValueError(
+            f"critical tolerance must be finite and nonnegative, got {tol!r}"
+        )
     levels = spectrum.levels
     idx = bisect_left(levels, q)
     for i in (idx - 1, idx):

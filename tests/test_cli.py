@@ -511,6 +511,47 @@ def test_critical_tolerance_flows_from_config_and_flag(tmp_path, capsys):
     assert payload["degree"] == 1
 
 
+def assert_single_error_line(capsys, kind):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error[{kind}]: ")
+
+
+def on_first_level_config(tmp_path):
+    # q = rho^T A rho / (8 pi sum rho) = 1.0, exactly the level n_1 = 1.
+    return write_config(
+        tmp_path,
+        {
+            "matrix": EXCHANGE,
+            "surface": TORUS,
+            "singularities": [{"gamma": 1.0}, {"gamma": 2.0}],
+            "rho": [8.0 * math.pi, 8.0 * math.pi],
+        },
+    )
+
+
+def test_default_critical_tolerance_catches_an_exact_level(tmp_path, capsys):
+    assert main(["degree", on_first_level_config(tmp_path)]) == 3
+    assert_single_error_line(capsys, "OnCriticalSurface")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_bad_critical_tolerance_is_rejected(tmp_path, capsys, tol):
+    p = on_first_level_config(tmp_path)
+    assert main(["degree", p, "--tol-critical", tol]) == 1
+    assert_single_error_line(capsys, "ValueError")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["spectrum", "series", "degree"])
+def test_bad_merge_tolerance_is_rejected(tmp_path, capsys, command, tol):
+    p = torus_degree_config(tmp_path)
+    assert main([command, p, "--tol-merge", tol]) == 1
+    assert_single_error_line(capsys, "ValueError")
+
+
 # -------------------------------------------------------------- interface
 
 

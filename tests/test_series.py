@@ -16,12 +16,8 @@ import pytest
 from liouville import (
     CoefficientOverflow,
     SingularitySet,
-    UnalignedExponent,
     build_generating_function,
-    coefficients_aligned,
     enumerate_spectrum,
-    expand_base,
-    multiply_singular_factor,
 )
 
 # ------------------------------------------------------------------ oracle
@@ -54,49 +50,58 @@ def terms_as_dict(series) -> dict[float, int]:
     return {e: c for e, c in series.sorted_terms()}
 
 
-# ------------------------------------------------------------- expand_base
+# ------------------------------------------------ the (1-x)^e ladder
+#
+# With no sources the series is (1-x)^chi itself.
+
+NO_SOURCES = SingularitySet.empty()
 
 
 def test_base_sphere_is_one_minus_x_squared():
-    s = expand_base(chi=2, n_sources=0, cap=5.0)
+    s = build_generating_function(chi=2, singularities=NO_SOURCES, cap=5.0)
     assert terms_as_dict(s) == {0.0: 1, 1.0: -2, 2.0: 1}
 
 
 def test_base_zeroth_power_is_one():
-    s = expand_base(chi=0, n_sources=0, cap=5.0)
+    s = build_generating_function(chi=0, singularities=NO_SOURCES, cap=5.0)
     assert terms_as_dict(s) == {0.0: 1}
 
 
 def test_base_negative_power_counts_with_multiplicity():
-    s = expand_base(chi=0, n_sources=2, cap=3.0)
+    s = build_generating_function(chi=-2, singularities=NO_SOURCES, cap=3.0)
     assert terms_as_dict(s) == {0.0: 1, 1.0: 2, 2.0: 3, 3.0: 4}
 
 
 def test_base_positive_power_is_a_finite_polynomial():
-    s = expand_base(chi=2, n_sources=0, cap=100.0)
+    s = build_generating_function(chi=2, singularities=NO_SOURCES, cap=100.0)
     assert len(s.sorted_terms()) == 3
 
 
-# ------------------------------------------- multiply_singular_factor
+# ------------------------------------------------ singular factors
+#
+# Each source multiplies by (1 - x^(1+gamma)) and lowers chi - N by one,
+# so raising chi by one alongside it keeps the ladder (1-x)^e fixed.
 
 
 def test_single_factor_against_one():
-    s = expand_base(chi=0, n_sources=0, cap=5.0)
-    out = multiply_singular_factor(s, gamma=1.0)
+    s = SingularitySet((1.0,))
+    out = build_generating_function(chi=1, singularities=s, cap=5.0)
     assert terms_as_dict(out) == {0.0: 1, 2.0: -1}
 
 
 def test_telescoping_with_regular_point():
     # (1 + x + ... + x^5)(1 - x) = 1 - x^6, and x^6 falls past the cap
-    s = expand_base(chi=-1, n_sources=0, cap=5.0)
-    out = multiply_singular_factor(s, gamma=0.0)
+    s = SingularitySet((0.0,))
+    out = build_generating_function(chi=0, singularities=s, cap=5.0)
     assert terms_as_dict(out) == {0.0: 1}
 
 
 def test_fractional_shift_interleaves():
-    s = expand_base(chi=0, n_sources=2, cap=2.9)
+    s = build_generating_function(chi=-2, singularities=NO_SOURCES, cap=2.9)
     assert terms_as_dict(s) == {0.0: 1, 1.0: 2, 2.0: 3}
-    out = multiply_singular_factor(s, gamma=0.5)
+    out = build_generating_function(
+        chi=-1, singularities=SingularitySet((0.5,)), cap=2.9
+    )
     assert terms_as_dict(out) == {0.0: 1, 1.0: 2, 1.5: -1, 2.0: 3, 2.5: -2}
 
 
@@ -211,61 +216,40 @@ def test_coefficient_sum_is_the_full_product():
 
 def test_alignment_examples():
     s = SingularitySet((1.0, 2.0))
-    spec = enumerate_spectrum(s, cap=5.0)
     g = build_generating_function(chi=0, singularities=s, cap=5.0)
-    assert coefficients_aligned(g, spec) == (
-        (0.0, 1),
-        (1.0, 2),
-        (2.0, 2),
-        (3.0, 1),
-        (4.0, 0),
-        (5.0, 0),
-    )
+    assert g.levels == (1.0, 2.0, 3.0, 4.0, 5.0)
+    assert g.coefficients == (2, 2, 1, 0, 0)
+    assert g.constant_term() == 1
 
     empty = SingularitySet.empty()
-    spec2 = enumerate_spectrum(empty, cap=3.5)
     g2 = build_generating_function(chi=2, singularities=empty, cap=3.5)
-    assert coefficients_aligned(g2, spec2) == (
-        (0.0, 1),
-        (1.0, -2),
-        (2.0, 1),
-        (3.0, 0),
-    )
+    assert g2.levels == (1.0, 2.0, 3.0)
+    assert g2.coefficients == (-2, 1, 0)
 
     g3 = build_generating_function(chi=0, singularities=empty, cap=3.5)
-    assert coefficients_aligned(g3, spec2) == (
-        (0.0, 1),
-        (1.0, 0),
-        (2.0, 0),
-        (3.0, 0),
-    )
+    assert g3.levels == (1.0, 2.0, 3.0)
+    assert g3.coefficients == (0, 0, 0)
 
 
 def test_every_nonzero_exponent_lands_on_a_level():
     rng = np.random.default_rng(17)
+    cases = []
     for _ in range(100):
         n_sources = int(rng.integers(0, 5))
         gammas = tuple(rng.uniform(-0.5, 3.0, size=n_sources).tolist())
+        cases.append((gammas, 9.0))
+    # Two routes to 4.8 round differently: 2 + 1.7 + 1.1 and
+    # 1.7 + 1.5 + 0.5 + 1.1.
+    cases.append(((0.7, 0.5, -0.5, 0.1), 12.0))
+    for gammas, cap in cases:
         s = SingularitySet(gammas)
-        spec = enumerate_spectrum(s, cap=9.0)
-        g = build_generating_function(chi=0, singularities=s, cap=9.0)
-        aligned = coefficients_aligned(g, spec)  # must not raise
-        assert aligned[0] == (0.0, 1)
-        assert len(aligned) == len(spec.levels) + 1
-        # aligned coefficients account for every stored term
-        assert sum(c for _, c in aligned) == sum(
-            c for _, c in g.sorted_terms()
-        )
-
-
-def test_alignment_rejects_mismatched_construction():
-    s = SingularitySet((0.5,))
-    spec = enumerate_spectrum(s, cap=4.0)
-    g = build_generating_function(
-        chi=0, singularities=SingularitySet((0.75,)), cap=4.0
-    )
-    with pytest.raises(UnalignedExponent):
-        coefficients_aligned(g, spec)
+        spec = enumerate_spectrum(s, cap=cap)
+        g = build_generating_function(chi=0, singularities=s, cap=cap)
+        assert g.levels == spec.levels
+        assert len(g.coefficients) == len(spec.levels)
+        terms = g.sorted_terms()
+        assert terms[0] == (0.0, 1)
+        assert {e for e, _ in terms[1:]} <= set(spec.levels)
 
 
 # ------------------------------------------------------------- edge cases
@@ -273,7 +257,34 @@ def test_alignment_rejects_mismatched_construction():
 
 def test_coefficient_overflow_is_detected():
     with pytest.raises(CoefficientOverflow):
-        expand_base(chi=-60, n_sources=0, cap=40.0)
+        build_generating_function(
+            chi=-60, singularities=SingularitySet.empty(), cap=40.0
+        )
+
+
+def test_product_coefficient_overflow_is_detected():
+    # Every coefficient of (1-x)^66 fits in 64 bits, but the product
+    # (1-x)^67 has |C(67, m)| > 2^63 - 1 from x^30 on.
+    with pytest.raises(CoefficientOverflow):
+        build_generating_function(
+            chi=67, singularities=SingularitySet((0.0,)), cap=40.0
+        )
+
+
+def test_coefficients_near_the_64_bit_edge_are_exact():
+    # (1-x)^66 (1-x^2): ladder entries near 7e18, so pairs of them could
+    # wrap a 64-bit accumulator; their differences fit and must be exact.
+    cap = 40
+    g = build_generating_function(
+        chi=67, singularities=SingularitySet((1.0,)), cap=float(cap)
+    )
+    ladder = [(-1) ** m * math.comb(66, m) for m in range(cap + 1)]
+    expected = [ladder[m] - (ladder[m - 2] if m >= 2 else 0)
+                for m in range(cap + 1)]
+    got = dict(g.sorted_terms())
+    assert max(abs(c) for c in ladder) > 2**62
+    for m, coeff in enumerate(expected):
+        assert got.get(float(m), 0) == coeff
 
 
 def test_strength_at_the_merge_scale_is_rejected():

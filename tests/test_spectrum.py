@@ -185,3 +185,16 @@ def test_cap_and_merge_tol_validation():
         enumerate_spectrum(SingularitySet.empty(), cap=0.0)
     with pytest.raises(ValueError):
         enumerate_spectrum(SingularitySet.empty(), cap=3.0, merge_tol=-1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-12])
+def test_non_finite_or_negative_merge_tol_rejected(bad):
+    with pytest.raises(ValueError):
+        enumerate_spectrum(SingularitySet((0.5,)), cap=3.0, merge_tol=bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_non_finite_or_negative_critical_tol_rejected(bad):
+    spec = enumerate_spectrum(SingularitySet.empty(), cap=3.5)
+    with pytest.raises(ValueError):
+        locate_region(1.0, spec, tol=bad)
