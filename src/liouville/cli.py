@@ -2,8 +2,8 @@
 
 Subcommands consume a JSON config file and emit either aligned
 human-readable text or machine-readable JSON (--json). Exit codes:
-0 success, 1 parse/IO or other input errors, 2 hypothesis violations,
-3 on-critical-surface, 4 solver non-convergence.
+0 success, 1 usage, parse/IO or other input errors, 2 hypothesis
+violations, 3 on-critical-surface, 4 solver non-convergence.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .pohozaev import (
 from .series import build_generating_function
 from .solver import (
     FieldSet,
-    SolverOptions,
     TorusGrid,
     WeightSpec,
     solve_continuation,
@@ -50,22 +49,25 @@ from .spectrum import (
 
 __all__ = ["main", "run"]
 
-COMMANDS = (
-    "check-matrix",
-    "spectrum",
-    "series",
-    "degree",
-    "pohozaev",
-    "solve",
-    "verify",
-)
+_FLAGS = {
+    "--cap": dict(type=float, help="spectrum exponent cap"),
+    "--tol-merge": dict(
+        type=float, help="tolerance for merging coincident levels"
+    ),
+    "--tol-critical": dict(
+        type=float, help="distance to a level that counts as critical"
+    ),
+    "--resolution": dict(type=int, help="solver grid resolution override"),
+    "--out": dict(help="write solver fields to this path"),
+    "--field": dict(required=True, help="field dump produced by solve --out"),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        payload, code = _dispatch(args)
+        payload, code = args.handler(load_config(args.config), args)
     except ConfigError as exc:
         print(f"error[ConfigError]: {exc}", file=sys.stderr)
         return 1
@@ -90,8 +92,16 @@ def run(command: str, config_path: str, *flags: str) -> int:
     return main([command, config_path, *flags])
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one error line with exit code 1, since
+    argparse's own code 2 means a hypothesis violation here."""
+
+    def error(self, message: str):
+        self.exit(1, f"error[UsageError]: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="liouville",
         description=(
             "Degree counting and spectral solving for coupled mean field "
@@ -99,71 +109,21 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (handler, flags) in COMMANDS.items():
         p = sub.add_parser(name)
+        p.set_defaults(handler=handler)
         p.add_argument("config", help="path to a JSON problem config")
         p.add_argument(
             "--json", action="store_true", help="emit machine-readable JSON"
         )
-        p.add_argument(
-            "--tol-critical",
-            type=float,
-            default=None,
-            help="distance to a level that counts as critical",
-        )
-        p.add_argument(
-            "--tol-merge",
-            type=float,
-            default=None,
-            help="tolerance for merging coincident levels",
-        )
-        p.add_argument(
-            "--cap", type=float, default=None, help="spectrum exponent cap"
-        )
-        p.add_argument(
-            "--resolution",
-            type=int,
-            default=None,
-            help="solver grid resolution override",
-        )
-        p.add_argument(
-            "--out", default=None, help="write solver fields to this path"
-        )
-        if name == "verify":
-            p.add_argument(
-                "--field",
-                required=True,
-                help="field dump produced by solve --out",
-            )
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
-def _dispatch(args) -> tuple[dict, int]:
-    cfg = load_config(args.config)
-    cap = args.cap if args.cap is not None else (
-        cfg.exponent_cap if cfg.exponent_cap is not None else DEFAULT_CAP
-    )
-    tol_critical = args.tol_critical if args.tol_critical is not None else (
-        cfg.critical_tol if cfg.critical_tol is not None else DEFAULT_CRITICAL_TOL
-    )
-    merge_tol = (
-        args.tol_merge if args.tol_merge is not None else DEFAULT_MERGE_TOL
-    )
-    if args.command == "check-matrix":
-        return _cmd_check_matrix(cfg)
-    if args.command == "spectrum":
-        return _cmd_spectrum(cfg, cap, merge_tol)
-    if args.command == "series":
-        return _cmd_series(cfg, cap, merge_tol)
-    if args.command == "degree":
-        return _cmd_degree(cfg, cap, tol_critical, merge_tol)
-    if args.command == "pohozaev":
-        return _cmd_pohozaev(cfg)
-    if args.command == "solve":
-        return _cmd_solve(cfg, args)
-    if args.command == "verify":
-        return _cmd_verify(cfg, args)
-    raise AssertionError(f"unknown command {args.command!r}")
+def _first_set(*choices):
+    """The flag, config value or default that comes first and is set."""
+    return next(x for x in choices if x is not None)
 
 
 def _report_payload(report: ConditionReport) -> dict:
@@ -180,7 +140,7 @@ def _report_payload(report: ConditionReport) -> dict:
     }
 
 
-def _cmd_check_matrix(cfg: InstanceConfig) -> tuple[dict, int]:
+def _cmd_check_matrix(cfg: InstanceConfig, args) -> tuple[dict, int]:
     h1 = check_h1(cfg.matrix)
     try:
         h2 = check_h2(cfg.matrix)
@@ -203,7 +163,9 @@ def _cmd_check_matrix(cfg: InstanceConfig) -> tuple[dict, int]:
     return payload, code
 
 
-def _cmd_spectrum(cfg: InstanceConfig, cap, merge_tol) -> tuple[dict, int]:
+def _cmd_spectrum(cfg: InstanceConfig, args) -> tuple[dict, int]:
+    cap = _first_set(args.cap, cfg.exponent_cap, DEFAULT_CAP)
+    merge_tol = _first_set(args.tol_merge, DEFAULT_MERGE_TOL)
     spec = enumerate_spectrum(cfg.singularities, cap, merge_tol)
     return {
         "cap": float(cap),
@@ -211,8 +173,10 @@ def _cmd_spectrum(cfg: InstanceConfig, cap, merge_tol) -> tuple[dict, int]:
     }, 0
 
 
-def _cmd_series(cfg: InstanceConfig, cap, merge_tol) -> tuple[dict, int]:
+def _cmd_series(cfg: InstanceConfig, args) -> tuple[dict, int]:
     surface = cfg.require_surface()
+    cap = _first_set(args.cap, cfg.exponent_cap, DEFAULT_CAP)
+    merge_tol = _first_set(args.tol_merge, DEFAULT_MERGE_TOL)
     g = build_generating_function(surface.chi, cfg.singularities, cap, merge_tol)
     return {
         "chi": surface.chi,
@@ -224,10 +188,13 @@ def _cmd_series(cfg: InstanceConfig, cap, merge_tol) -> tuple[dict, int]:
     }, 0
 
 
-def _cmd_degree(cfg, cap, tol_critical, merge_tol) -> tuple[dict, int]:
+def _cmd_degree(cfg: InstanceConfig, args) -> tuple[dict, int]:
     instance = cfg.instance()
     result = leray_schauder_degree(
-        instance, cap=cap, tol=tol_critical, merge_tol=merge_tol
+        instance,
+        cap=_first_set(args.cap, cfg.exponent_cap, DEFAULT_CAP),
+        tol=_first_set(args.tol_critical, cfg.critical_tol, DEFAULT_CRITICAL_TOL),
+        merge_tol=_first_set(args.tol_merge, DEFAULT_MERGE_TOL),
     )
     return {
         "degree": int(result.degree),
@@ -239,7 +206,7 @@ def _cmd_degree(cfg, cap, tol_critical, merge_tol) -> tuple[dict, int]:
     }, 0
 
 
-def _cmd_pohozaev(cfg: InstanceConfig) -> tuple[dict, int]:
+def _cmd_pohozaev(cfg: InstanceConfig, args) -> tuple[dict, int]:
     if cfg.sigma is None or cfg.mu is None:
         raise ConfigError("sigma", 'pohozaev needs "sigma" and "mu"')
     masses = MassVector(cfg.sigma, cfg.mu)
@@ -258,7 +225,7 @@ def _cmd_pohozaev(cfg: InstanceConfig) -> tuple[dict, int]:
     return payload, 0
 
 
-def _solver_pieces(cfg: InstanceConfig, args):
+def _solver_pieces(cfg: InstanceConfig, resolution: int):
     surface = cfg.require_surface()
     if surface.chi != 0:
         raise ConfigError(
@@ -268,11 +235,6 @@ def _solver_pieces(cfg: InstanceConfig, args):
         raise ConfigError(
             "singularities", "the solver needs positions for every source"
         )
-    resolution = (
-        args.resolution
-        if args.resolution is not None
-        else cfg.solver.resolution
-    )
     grid = TorusGrid(resolution)
     instance = cfg.instance()
     weights = WeightSpec.uniform(cfg.matrix.n, cfg.singularities)
@@ -280,9 +242,9 @@ def _solver_pieces(cfg: InstanceConfig, args):
 
 
 def _cmd_solve(cfg: InstanceConfig, args) -> tuple[dict, int]:
-    instance, weights, grid = _solver_pieces(cfg, args)
-    opts = SolverOptions(tol=cfg.solver.tol, steps=cfg.solver.steps)
-    result = solve_continuation(instance, weights, grid, opts)
+    resolution = _first_set(args.resolution, cfg.resolution)
+    instance, weights, grid = _solver_pieces(cfg, resolution)
+    result = solve_continuation(instance, weights, grid, cfg.solver)
     if args.out:
         fieldio.write_binary(args.out, result.fields.values)
         fieldio.write_csv(str(args.out) + ".csv", result.fields.values)
@@ -312,16 +274,8 @@ def _cmd_verify(cfg: InstanceConfig, args) -> tuple[dict, int]:
             f"dump has {values.shape[0]} components, config expects "
             f"{cfg.matrix.n}",
         )
-
-    class _GridArgs:
-        resolution = (
-            args.resolution
-            if args.resolution is not None
-            else int(values.shape[1])
-        )
-        out = None
-
-    instance, weights, grid = _solver_pieces(cfg, _GridArgs)
+    resolution = _first_set(args.resolution, int(values.shape[1]))
+    instance, weights, grid = _solver_pieces(cfg, resolution)
     if values.shape[1] != grid.resolution:
         raise ConfigError(
             "--resolution",
@@ -336,6 +290,18 @@ def _cmd_verify(cfg: InstanceConfig, args) -> tuple[dict, int]:
         "functional_value": float(report.functional_value),
         "residual_norm": float(report.residual_norm),
     }, 0
+
+
+# Each subcommand's handler and the flags it reads besides --json.
+COMMANDS = {
+    "check-matrix": (_cmd_check_matrix, ()),
+    "spectrum": (_cmd_spectrum, ("--cap", "--tol-merge")),
+    "series": (_cmd_series, ("--cap", "--tol-merge")),
+    "degree": (_cmd_degree, ("--cap", "--tol-merge", "--tol-critical")),
+    "pohozaev": (_cmd_pohozaev, ()),
+    "solve": (_cmd_solve, ("--resolution", "--out")),
+    "verify": (_cmd_verify, ("--resolution", "--field")),
+}
 
 
 def _emit(payload: dict, as_json: bool) -> None:

@@ -7,6 +7,7 @@ Every parse failure raises ConfigError anchored to the offending field
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,20 +16,10 @@ import numpy as np
 from .degree import ProblemInstance, SurfaceSpec
 from .errors import ConfigError
 from .matrix import InteractionMatrix
+from .solver import DEFAULT_RESOLUTION, SolverOptions
 from .spectrum import SingularitySet
 
 __all__ = ["InstanceConfig", "load_config"]
-
-DEFAULT_RESOLUTION = 64
-DEFAULT_SOLVER_TOL = 1e-8
-DEFAULT_SOLVER_STEPS = 10
-
-
-@dataclass(frozen=True)
-class SolverSettings:
-    resolution: int = DEFAULT_RESOLUTION
-    tol: float = DEFAULT_SOLVER_TOL
-    steps: int = DEFAULT_SOLVER_STEPS
 
 
 @dataclass(frozen=True)
@@ -39,7 +30,8 @@ class InstanceConfig:
     rho: np.ndarray | None
     surface: SurfaceSpec | None
     singularities: SingularitySet
-    solver: SolverSettings
+    resolution: int
+    solver: SolverOptions
     exponent_cap: float | None
     critical_tol: float | None
     sigma: np.ndarray | None
@@ -81,8 +73,12 @@ def load_config(path: str | Path) -> InstanceConfig:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(str(path), f"cannot read config: {exc}") from exc
+
+    def reject_constant(name: str):
+        raise ConfigError(str(path), f"{name} is not a finite number")
+
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}", f"invalid JSON: {exc.msg}"
@@ -105,12 +101,14 @@ def load_config(path: str | Path) -> InstanceConfig:
             raise ConfigError(key, "unknown config field")
     matrix = _parse_matrix(raw)
     n = matrix.n
+    resolution, solver = _parse_solver(raw)
     return InstanceConfig(
         matrix=matrix,
         rho=_parse_vector(raw, "rho", n, required=False),
         surface=_parse_surface(raw),
         singularities=_parse_singularities(raw),
-        solver=_parse_solver(raw),
+        resolution=resolution,
+        solver=solver,
         exponent_cap=_parse_cap(raw, "exponent_cap"),
         critical_tol=_parse_cap(raw, "tolerance"),
         sigma=_parse_vector(raw, "sigma", n, required=False),
@@ -201,14 +199,12 @@ def _parse_singularities(raw: dict) -> SingularitySet:
         gammas.append(float(item["gamma"]))
         if "position" in item:
             pos = item["position"]
-            if (
-                not isinstance(pos, list)
-                or len(pos) != 2
-                or not all(isinstance(x, (int, float)) for x in pos)
-            ):
+            if not isinstance(pos, list) or len(pos) != 2:
                 raise ConfigError(
                     f"singularities[{l}].position", "expected [x, y]"
                 )
+            for k, x in enumerate(pos):
+                _require_number(x, f"singularities[{l}].position[{k}]")
             positions.append((float(pos[0]), float(pos[1])))
             with_position += 1
     if with_position and with_position != len(items):
@@ -223,9 +219,10 @@ def _parse_singularities(raw: dict) -> SingularitySet:
         raise ConfigError("singularities", str(exc)) from exc
 
 
-def _parse_solver(raw: dict) -> SolverSettings:
+def _parse_solver(raw: dict) -> tuple[int, SolverOptions]:
+    defaults = SolverOptions()
     if "solver" not in raw:
-        return SolverSettings()
+        return DEFAULT_RESOLUTION, defaults
     s = raw["solver"]
     if not isinstance(s, dict):
         raise ConfigError("solver", "expected an object")
@@ -236,15 +233,15 @@ def _parse_solver(raw: dict) -> SolverSettings:
     _require_int(resolution, "solver.resolution")
     if int(resolution) <= 0 or int(resolution) % 2:
         raise ConfigError("solver.resolution", "must be a positive even integer")
-    tol = s.get("tol", DEFAULT_SOLVER_TOL)
+    tol = s.get("tol", defaults.tol)
     _require_number(tol, "solver.tol")
     if float(tol) <= 0:
         raise ConfigError("solver.tol", "must be positive")
-    steps = s.get("steps", DEFAULT_SOLVER_STEPS)
+    steps = s.get("steps", defaults.steps)
     _require_int(steps, "solver.steps")
     if int(steps) < 1:
         raise ConfigError("solver.steps", "must be at least 1")
-    return SolverSettings(int(resolution), float(tol), int(steps))
+    return int(resolution), SolverOptions(tol=float(tol), steps=int(steps))
 
 
 def _parse_cap(raw: dict, key: str) -> float | None:
@@ -277,6 +274,9 @@ def _parse_mu(raw: dict):
 def _require_number(value, field: str) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(field, f"expected a number, got {value!r}")
+    # Also catches literals that overflow a double, such as 1e999.
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(field, f"expected a finite number, got {value!r}")
 
 
 def _require_int(value, field: str) -> None:

@@ -128,19 +128,7 @@ def invert(a) -> FloatMatrix:
 def irreducible(a) -> bool:
     """Connectivity of the coupling graph with edges where a_ij != 0, i != j."""
     m = as_interaction_matrix(a)
-    n = m.n
-    if n == 1:
-        return True
-    adj = np.abs(m.entries) > 0.0
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        for j in range(n):
-            if j != i and adj[i, j] and j not in seen:
-                seen.add(j)
-                frontier.append(j)
-    return len(seen) == n
+    return len(_component_of_zero(m.entries)) == m.n
 
 
 def check_h1(a, tol: float = DEFAULT_TOL) -> ConditionReport:
@@ -164,9 +152,9 @@ def check_h1(a, tol: float = DEFAULT_TOL) -> ConditionReport:
                 violations.append(
                     Violation("nonnegative", (i, j), float(entries[i, j]))
                 )
-    if not irreducible(m):
+    comp = _component_of_zero(entries)
+    if len(comp) != n:
         # Witness: the connected component of index 0.
-        comp = _component_of_zero(entries)
         violations.append(Violation("irreducible", comp, float(len(comp))))
     try:
         m.inverse()

@@ -16,11 +16,10 @@ critical energy level, where solutions stay bounded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .degree import ProblemInstance, normalized_energy
 from .errors import NegativeGamma, NoConvergence, StepFailure, ZeroMassDensity
@@ -166,21 +165,23 @@ def green_function(grid: TorusGrid, q: tuple[float, float]) -> FloatGrid:
     exp(2 pi i k.(x-q)) / (4 pi^2 |k|^2); the real part makes the
     kernel even in x - q, hence symmetric in its arguments.
     """
-    qx, qy = float(q[0]) % 1.0, float(q[1]) % 1.0
-    phase = np.exp(-2j * math.pi * (grid.kx * qx + grid.ky * qy))
     m2 = float(grid.resolution) ** 2
-    coeffs = -phase * grid._inv_symbol * m2
+    coeffs = -_phase(grid, q) * grid._inv_symbol * m2
     return np.real(np.fft.ifft2(coeffs))
 
 
 def band_limited_source(grid: TorusGrid, q: tuple[float, float]) -> FloatGrid:
     """Projection of delta_q - 1 onto the grid modes; -Delta G equals it."""
-    qx, qy = float(q[0]) % 1.0, float(q[1]) % 1.0
-    phase = np.exp(-2j * math.pi * (grid.kx * qx + grid.ky * qy))
     m2 = float(grid.resolution) ** 2
-    coeffs = phase * m2
+    coeffs = _phase(grid, q) * m2
     coeffs[0, 0] = 0.0
     return np.real(np.fft.ifft2(coeffs))
+
+
+def _phase(grid: TorusGrid, q: tuple[float, float]) -> np.ndarray:
+    """Mode factors exp(-2 pi i k.q) of a unit point mass at q."""
+    qx, qy = float(q[0]) % 1.0, float(q[1]) % 1.0
+    return np.exp(-2j * math.pi * (grid.kx * qx + grid.ky * qy))
 
 
 def singular_weight(grid: TorusGrid, p: tuple[float, float]) -> FloatGrid:
@@ -313,16 +314,11 @@ def functional_J(
     values = u.values
     n = values.shape[0]
     quad = 0.0
-    hats = [np.fft.fft2(values[i]) for i in range(n)]
-    scale = float(grid.resolution) ** 4
-    mult = -grid._symbol
     for i in range(n):
         for j in range(n):
             if inv[i, j] == 0.0:
                 continue
-            quad += inv[i, j] * float(
-                np.sum(mult * np.real(hats[i] * np.conj(hats[j]))) / scale
-            )
+            quad += inv[i, j] * grid.gradient_inner(values[i], values[j])
     means = _density_means(h, values)
     rho = np.asarray(p.rho, dtype=np.float64)
     return 0.5 * quad - float(np.sum(rho * np.log(means)))
@@ -360,6 +356,21 @@ class SolverOptions:
     max_krylov: int = 200
     damping_floor: float = 1e-6
 
+    def __post_init__(self) -> None:
+        for name in ("tol", "gmres_rtol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} = {value!r} must be finite and > 0")
+        if not (0 < self.t_start <= 1):
+            raise ValueError(f"t_start = {self.t_start!r} must lie in (0, 1]")
+        if not (0 < self.damping_floor < 1):
+            raise ValueError(
+                f"damping_floor = {self.damping_floor!r} must lie in (0, 1)"
+            )
+        for name, least in (("steps", 1), ("max_newton", 0), ("max_krylov", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}")
+
 
 @dataclass(frozen=True)
 class StepDiagnostics:
@@ -374,12 +385,6 @@ class SolveResult:
     fields: FieldSet
     steps: tuple[StepDiagnostics, ...]
     residual_norm: float
-
-
-@dataclass
-class _NewtonState:
-    u: FloatGrid
-    history: list = field(default_factory=list)
 
 
 def solve_continuation(
@@ -423,8 +428,6 @@ def solve_continuation(
     u = np.zeros((n, m, m))
     diagnostics: list[StepDiagnostics] = []
     final_norm = 0.0
-    if opts.steps < 1:
-        raise ValueError("continuation needs at least one step")
     schedule = (
         np.array([1.0])
         if opts.steps == 1
@@ -483,6 +486,8 @@ def _newton_direction(
     opts: SolverOptions,
     rhs: FloatGrid,
 ) -> FloatGrid:
+    from scipy.sparse.linalg import LinearOperator, gmres
+
     n, m, _ = u.shape
     size = n * m * m
     dens = h * np.exp(u)

@@ -57,6 +57,9 @@ class SingularitySet:
                 (float(p[0]), float(p[1])) for p in self.positions
             )
             object.__setattr__(self, "positions", positions)
+            for l, p in enumerate(positions):
+                if not all(math.isfinite(x) for x in p):
+                    raise ValueError(f"position[{l}] = {p!r} must be finite")
             if len(positions) != len(gammas):
                 raise ValueError(
                     f"{len(positions)} positions for {len(gammas)} strengths"

@@ -3,6 +3,11 @@ exit codes, and byte-level determinism."""
 
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +18,7 @@ from liouville.config import load_config
 
 EXCHANGE = [[0.0, 1.0], [1.0, 0.0]]
 TORUS = {"type": "closed", "genus": 1}
+DATA = Path(__file__).parent / "data"
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -37,7 +43,7 @@ def test_minimal_config_gets_defaults(tmp_path):
     assert cfg.rho is None
     assert cfg.surface is None
     assert cfg.singularities.count == 0
-    assert cfg.solver.resolution == 64
+    assert cfg.resolution == 64
     assert cfg.solver.tol == 1e-8
     assert cfg.solver.steps == 10
     assert cfg.exponent_cap is None
@@ -65,7 +71,7 @@ def test_full_config_round_trip(tmp_path):
     np.testing.assert_array_equal(cfg.rho, [1.0, 2.0])
     assert cfg.singularities.gammas == (1.0, 0.5)
     assert cfg.singularities.positions == ((0.25, 0.25), (0.75, 0.5))
-    assert cfg.solver.resolution == 32
+    assert cfg.resolution == 32
     assert cfg.exponent_cap == 12.0
     assert cfg.critical_tol == 1e-6
     assert cfg.mu == 2.0
@@ -128,6 +134,13 @@ def test_surface_forms(tmp_path):
         ({"matrix": [[1.0]], "caps": {"depth": 3}}, "unexpected"),
         ({"matrix": [[1.0]], "caps": {"exponent_cap": -1.0}}, "positive"),
         ({"matrix": [[1.0]], "mu": 0.0}, "positive"),
+        (
+            {
+                "matrix": [[1.0]],
+                "singularities": [{"gamma": 1.0, "position": [True, False]}],
+            },
+            "singularities[0].position[0]: expected a number",
+        ),
     ],
 )
 def test_config_errors_name_their_field(tmp_path, data, anchor):
@@ -135,6 +148,41 @@ def test_config_errors_name_their_field(tmp_path, data, anchor):
     with pytest.raises(ConfigError) as info:
         load_config(path)
     assert anchor in str(info.value)
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize(
+    "template",
+    [
+        '{"matrix": [[1.0]], "rho": [%s]}',
+        '{"matrix": [[1.0]], "solver": {"tol": %s}}',
+        '{"matrix": [[1.0]], "caps": {"tolerance": %s}}',
+        '{"matrix": [[1.0]], "singularities": [{"gamma": 1, "position": [0, %s]}]}',
+    ],
+    ids=["rho", "solver.tol", "caps.tolerance", "position"],
+)
+def test_non_finite_json_constants_are_rejected(tmp_path, template, constant):
+    p = tmp_path / "cfg.json"
+    p.write_text(template % constant)
+    with pytest.raises(ConfigError, match="not a finite number"):
+        load_config(p)
+
+
+@pytest.mark.parametrize(
+    "text, anchor",
+    [
+        ('{"matrix": [[1.0]], "solver": {"tol": 1e999}}', "solver.tol"),
+        ('{"matrix": [[1.0]], "mu": -1e999}', "mu"),
+        ('{"matrix": [[1.0]], "mu": 1%s}' % ("0" * 400), "mu"),
+    ],
+    ids=["float", "negative-float", "int"],
+)
+def test_literals_beyond_double_range_are_rejected(tmp_path, text, anchor):
+    p = tmp_path / "cfg.json"
+    p.write_text(text)
+    with pytest.raises(ConfigError) as info:
+        load_config(p)
+    assert str(info.value).startswith(f"{anchor}: expected a finite number")
 
 
 def test_missing_file_is_a_config_error(tmp_path):
@@ -493,6 +541,21 @@ def test_exit_4_on_solver_non_convergence(tmp_path, capsys):
     assert "error[StepFailure]" in err or "error[NoConvergence]" in err
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"solver": {"resolution": 16, "tol": math.inf}},
+        {"singularities": [{"gamma": 1.0, "position": [0.5, math.nan]}]},
+        {"singularities": [{"gamma": 1.0, "position": [True, False]}]},
+    ],
+)
+def test_solve_rejects_bad_numbers_before_solving(tmp_path, capsys, overrides):
+    # json.dumps writes math.inf and math.nan as Infinity and NaN.
+    cfg = singular_solve_config(tmp_path, **overrides)
+    assert main(["solve", cfg, "--json"]) == 1
+    assert_single_error_line(capsys, "ConfigError")
+
+
 def test_critical_tolerance_flows_from_config_and_flag(tmp_path, capsys):
     p = write_config(
         tmp_path,
@@ -568,6 +631,75 @@ def test_human_readable_output(tmp_path, capsys):
     assert "degree" in out
     assert "3" in out
     assert "{" not in out  # prose, not JSON
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-matrix", "cfg.json", "--cap", "3"],
+        ["pohozaev", "cfg.json", "--cap", "3"],
+        ["degree", "cfg.json", "--resolution", "16"],
+        ["solve", "cfg.json", "--tol-merge", "1e-9"],
+        ["spectrum", "cfg.json", "--cap", "three"],
+        ["verify", "cfg.json"],
+    ],
+)
+def test_usage_errors_exit_1_with_one_error_line(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    assert_single_error_line(capsys, "UsageError")
+
+
+FLAGS = {
+    "check-matrix": {"--json"},
+    "spectrum": {"--json", "--cap", "--tol-merge"},
+    "series": {"--json", "--cap", "--tol-merge"},
+    "degree": {"--json", "--cap", "--tol-merge", "--tol-critical"},
+    "pohozaev": {"--json"},
+    "solve": {"--json", "--resolution", "--out"},
+    "verify": {"--json", "--resolution", "--field"},
+}
+
+
+def test_each_subcommand_offers_only_the_flags_it_reads(capsys):
+    for command, expected in FLAGS.items():
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        listed = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M)
+        assert set(listed) == expected, command
+    assert sum(len(flags) for flags in FLAGS.values()) == 18
+
+
+@pytest.mark.parametrize(
+    "command", ["check-matrix", "spectrum", "series", "degree", "pohozaev"]
+)
+def test_combinatorial_commands_match_the_golden_output(capsys, command):
+    golden = json.loads((DATA / "readme_degree.golden.json").read_text())
+    config = str(DATA / "readme_degree.json")
+    for mode, flags in (("json", ["--json"]), ("text", [])):
+        assert main([command, config, *flags]) == golden[command]["exit"]
+        assert capsys.readouterr().out == golden[command][mode]
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    import liouville
+
+    src = os.path.dirname(os.path.dirname(liouville.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, *filter(None, [env.get("PYTHONPATH")])]
+    )
+    probe = "import sys, liouville, liouville.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_missing_subcommand_exits_via_argparse(capsys):

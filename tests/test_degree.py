@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -82,6 +83,19 @@ def test_degree_is_one_below_the_first_level():
         result = leray_schauder_degree(scalar_instance(chi, (0.5,), 0.5))
         assert result.degree == 1
         assert result.region_k == 0
+
+
+@pytest.mark.parametrize("chi", range(-8, 4))
+def test_no_source_degree_is_the_chen_lin_binomial(chi):
+    # Chen-Lin (CPAM 2003): with no sources the degree in region k is
+    # C(k - chi, k) = prod_{j=1..k} (j - chi) / k!, exact in Fractions.
+    for k in range(19):
+        expected = Fraction(1)
+        for j in range(1, k + 1):
+            expected *= Fraction(j - chi, j)
+        result = leray_schauder_degree(scalar_instance(chi, (), k + 0.5))
+        assert result.region_k == k
+        assert result.degree == expected
 
 
 def test_critical_hit_raises():

@@ -550,6 +550,35 @@ def test_single_step_schedule_solves_the_full_problem():
     assert result.residual_norm <= 1e-8
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"tol": math.inf},
+        {"tol": math.nan},
+        {"tol": 0.0},
+        {"gmres_rtol": math.inf},
+        {"gmres_rtol": -1e-10},
+        {"steps": 0},
+        {"t_start": 0.0},
+        {"t_start": 1.5},
+        {"t_start": math.nan},
+        {"max_newton": -1},
+        {"max_krylov": 0},
+        {"damping_floor": 0.0},
+        {"damping_floor": 1.0},
+        {"damping_floor": math.nan},
+    ],
+)
+def test_solver_options_reject_bad_values(bad):
+    with pytest.raises(ValueError):
+        SolverOptions(**bad)
+
+
+def test_solver_options_accept_the_boundary_values():
+    opts = SolverOptions(steps=1, t_start=1.0, max_newton=0, max_krylov=1)
+    assert opts.t_start == 1.0
+
+
 # ---------------------------------------------------------- verification
 
 

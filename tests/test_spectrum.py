@@ -180,6 +180,12 @@ def test_positions_must_match_and_be_distinct():
         )
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_positions_must_be_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        SingularitySet((1.0,), positions=((0.5, bad),))
+
+
 def test_cap_and_merge_tol_validation():
     with pytest.raises(ValueError):
         enumerate_spectrum(SingularitySet.empty(), cap=0.0)
