@@ -16,7 +16,7 @@ import numpy as np
 from .degree import ProblemInstance, SurfaceSpec
 from .errors import ConfigError
 from .matrix import InteractionMatrix
-from .solver import DEFAULT_RESOLUTION, SolverOptions
+from .solver import DEFAULT_RESOLUTION, MAX_RESOLUTION, MAX_STEPS, SolverOptions
 from .spectrum import SingularitySet
 
 __all__ = ["InstanceConfig", "load_config"]
@@ -231,16 +231,21 @@ def _parse_solver(raw: dict) -> tuple[int, SolverOptions]:
         raise ConfigError("solver", f"unexpected fields {sorted(extra)}")
     resolution = s.get("resolution", DEFAULT_RESOLUTION)
     _require_int(resolution, "solver.resolution")
-    if int(resolution) <= 0 or int(resolution) % 2:
-        raise ConfigError("solver.resolution", "must be a positive even integer")
+    if not 0 < int(resolution) <= MAX_RESOLUTION or int(resolution) % 2:
+        raise ConfigError(
+            "solver.resolution",
+            f"must be a positive even integer at most {MAX_RESOLUTION}",
+        )
     tol = s.get("tol", defaults.tol)
     _require_number(tol, "solver.tol")
     if float(tol) <= 0:
         raise ConfigError("solver.tol", "must be positive")
     steps = s.get("steps", defaults.steps)
     _require_int(steps, "solver.steps")
-    if int(steps) < 1:
-        raise ConfigError("solver.steps", "must be at least 1")
+    if not 1 <= int(steps) <= MAX_STEPS:
+        raise ConfigError(
+            "solver.steps", f"must be at least 1 and at most {MAX_STEPS}"
+        )
     return int(resolution), SolverOptions(tol=float(tol), steps=int(steps))
 
 

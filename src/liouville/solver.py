@@ -48,19 +48,27 @@ MEAN_ZERO_TOL = 1e-12
 
 DEFAULT_RESOLUTION = 64
 
+# Bounds that keep one solve's memory and running time finite.
+MAX_RESOLUTION = 1024
+MAX_STEPS = 10_000
+
 
 class TorusGrid:
     """Uniform M x M grid on the unit flat torus with spectral calculus.
 
     Wavenumbers are the integer FFT modes per axis (from -M/2 up to
     M/2 - 1); the quadrature weight per node is 1/M^2, so the torus has
-    volume 1.
+    volume 1. The Laplacian and its inverse act on the last two axes, so
+    they take one (M, M) field or an (n, M, M) stack alike.
     """
 
     def __init__(self, resolution: int = DEFAULT_RESOLUTION) -> None:
         m = int(resolution)
-        if m <= 0 or m % 2 != 0:
-            raise ValueError(f"resolution must be a positive even integer, got {m}")
+        if m <= 0 or m % 2 != 0 or m > MAX_RESOLUTION:
+            raise ValueError(
+                f"resolution must be a positive even integer at most "
+                f"{MAX_RESOLUTION}, got {m}"
+            )
         self.resolution = m
         axis = np.arange(m) / m
         self.x, self.y = np.meshgrid(axis, axis, indexing="ij")
@@ -90,8 +98,14 @@ class TorusGrid:
 
     def gradient_inner(self, f: FloatGrid, g: FloatGrid) -> float:
         """Integral of grad f . grad g over the torus, via the mode sums."""
-        fh = np.fft.fft2(f)
-        gh = np.fft.fft2(g)
+        return self._mode_inner(self._modes(f), self._modes(g))
+
+    def _modes(self, f: FloatGrid) -> np.ndarray:
+        """Fourier modes of f over its last two axes, as _mode_inner reads them."""
+        return np.fft.fft2(f)
+
+    def _mode_inner(self, fh: np.ndarray, gh: np.ndarray) -> float:
+        """gradient_inner(f, g) from fh = _modes(f) and gh = _modes(g)."""
         scale = float(self.resolution) ** 4
         return float(np.sum(-self._symbol * np.real(fh * np.conj(gh))) / scale)
 
@@ -254,33 +268,31 @@ def _evaluate_smooth_factor(factor, grid: TorusGrid) -> FloatGrid:
     return arr.copy()
 
 
-def _density_means(h: FloatGrid, u: FloatGrid) -> FloatGrid:
-    """Per-component quadratures <h_i e^{u_i}>; must all be positive."""
+def _density(
+    h: FloatGrid, u: FloatGrid, check: bool = True
+) -> tuple[FloatGrid, FloatGrid]:
+    """Densities h_i e^{u_i} and their quadratures <h_i e^{u_i}>; with
+    ``check``, ZeroMassDensity unless every quadrature is positive."""
     dens = h * np.exp(u)
     means = dens.mean(axis=(1, 2))
-    if not np.all(np.isfinite(means)) or np.any(means <= 0.0):
+    if check and (not np.all(np.isfinite(means)) or np.any(means <= 0.0)):
         bad = int(np.argmin(means))
         raise ZeroMassDensity(
             f"<h_{bad} e^(u_{bad})> = {means[bad]!r} is not positive"
         )
-    return means
+    return dens, means
 
 
 def _residual_arrays(
     u: FloatGrid,
-    entries: FloatGrid,
-    rho: FloatGrid,
-    h: FloatGrid,
+    coupling: FloatGrid,
+    dens: FloatGrid,
+    means: FloatGrid,
     grid: TorusGrid,
 ) -> FloatGrid:
-    dens = h * np.exp(u)
-    means = dens.mean(axis=(1, 2))
+    """Residual for the coupling a_ij rho_j and the density of u."""
     forcing = dens / means[:, None, None] - 1.0
-    coeff = entries * rho[None, :]
-    out = np.einsum("ij,jxy->ixy", coeff, forcing)
-    for i in range(u.shape[0]):
-        out[i] += grid.laplacian(u[i])
-    return out
+    return np.einsum("ij,jxy->ixy", coupling, forcing) + grid.laplacian(u)
 
 
 def residual(
@@ -294,10 +306,9 @@ def residual(
     ZeroMassDensity
         If some quadrature <h_j e^{u_j}> is not positive.
     """
-    _density_means(h, u.values)
-    rho = np.asarray(p.rho, dtype=np.float64)
+    coupling = p.matrix.entries * np.asarray(p.rho, dtype=np.float64)[None, :]
     return FieldSet(
-        _residual_arrays(u.values, p.matrix.entries, rho, h, grid)
+        _residual_arrays(u.values, coupling, *_density(h, u.values), grid)
     )
 
 
@@ -311,15 +322,12 @@ def functional_J(
     the solver residual its exact discrete Euler-Lagrange gradient.
     """
     inv = p.matrix.inverse()
-    values = u.values
-    n = values.shape[0]
+    modes = grid._modes(u.values)
     quad = 0.0
-    for i in range(n):
-        for j in range(n):
-            if inv[i, j] == 0.0:
-                continue
-            quad += inv[i, j] * grid.gradient_inner(values[i], values[j])
-    means = _density_means(h, values)
+    # Summed row-major over the nonzero a^{ij}, from one transform per component.
+    for i, j in zip(*np.nonzero(inv)):
+        quad += inv[i, j] * grid._mode_inner(modes[i], modes[j])
+    _, means = _density(h, u.values)
     rho = np.asarray(p.rho, dtype=np.float64)
     return 0.5 * quad - float(np.sum(rho * np.log(means)))
 
@@ -333,15 +341,11 @@ def functional_gradient(
     Applying the coupling matrix A to V recovers -R(u) identically.
     """
     inv = p.matrix.inverse()
-    values = u.values
-    n = values.shape[0]
-    lap = np.stack([grid.laplacian(values[j]) for j in range(n)])
-    dens = h * np.exp(values)
-    means = _density_means(h, values)
+    dens, means = _density(h, u.values)
     forcing = dens / means[:, None, None] - 1.0
     rho = np.asarray(p.rho, dtype=np.float64)
     return (
-        -np.einsum("ij,jxy->ixy", inv, lap)
+        -np.einsum("ij,jxy->ixy", inv, grid.laplacian(u.values))
         - rho[:, None, None] * forcing
     )
 
@@ -370,6 +374,8 @@ class SolverOptions:
         for name, least in (("steps", 1), ("max_newton", 0), ("max_krylov", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}")
+        if self.steps > MAX_STEPS:
+            raise ValueError(f"steps must be at most {MAX_STEPS}")
 
 
 @dataclass(frozen=True)
@@ -422,23 +428,19 @@ def solve_continuation(
         )
     h = build_weights(w, grid)
     rho = np.asarray(p.rho, dtype=np.float64)
-    entries = p.matrix.entries
-    n = p.matrix.n
     m = grid.resolution
-    u = np.zeros((n, m, m))
+    u = np.zeros((p.matrix.n, m, m))
     diagnostics: list[StepDiagnostics] = []
-    final_norm = 0.0
     schedule = (
         np.array([1.0])
         if opts.steps == 1
         else np.linspace(opts.t_start, 1.0, opts.steps)
     )
     for t in schedule:
-        u, step_diag = _newton_stage(
-            u, float(t), rho, entries, h, grid, opts
-        )
+        coupling = p.matrix.entries * (t * rho)[None, :]
+        u, step_diag = _newton_stage(u, float(t), coupling, h, grid, opts)
         diagnostics.append(step_diag)
-        final_norm = step_diag.residual_history[-1]
+    final_norm = diagnostics[-1].residual_history[-1]
     return SolveResult(FieldSet(u), tuple(diagnostics), final_norm)
 
 
@@ -449,38 +451,34 @@ def _l2_norm(r: FloatGrid, m: int) -> float:
 def _newton_stage(
     u: FloatGrid,
     t: float,
-    rho: FloatGrid,
-    entries: FloatGrid,
+    coupling: FloatGrid,
     h: FloatGrid,
     grid: TorusGrid,
     opts: SolverOptions,
 ) -> tuple[FloatGrid, StepDiagnostics]:
     m = grid.resolution
-    rho_t = t * rho
     history: list[float] = []
     for iteration in range(opts.max_newton + 1):
-        r = _residual_arrays(u, entries, rho_t, h, grid)
+        r = _residual_arrays(u, coupling, *_density(h, u, check=False), grid)
         rnorm = _l2_norm(r, m)
         history.append(rnorm)
         if rnorm <= opts.tol:
             return u, StepDiagnostics(
                 t, iteration, tuple(history), float(np.max(np.abs(u)))
             )
-        if iteration == opts.max_newton:
-            raise NoConvergence(
-                f"stage t = {t:g} still at residual {rnorm:.3e} after "
-                f"{opts.max_newton} Newton iterations",
-                rnorm,
-            )
-        delta = _newton_direction(u, rho_t, entries, h, grid, opts, -r)
-        u = _backtrack(u, delta, rnorm, rho_t, entries, h, grid, opts, t)
-    raise AssertionError("unreachable")
+        if iteration < opts.max_newton:
+            delta = _newton_direction(u, coupling, h, grid, opts, -r)
+            u = _backtrack(u, delta, rnorm, coupling, h, grid, opts, t)
+    raise NoConvergence(
+        f"stage t = {t:g} still at residual {rnorm:.3e} after "
+        f"{opts.max_newton} Newton iterations",
+        rnorm,
+    )
 
 
 def _newton_direction(
     u: FloatGrid,
-    rho_t: FloatGrid,
-    entries: FloatGrid,
+    coupling: FloatGrid,
     h: FloatGrid,
     grid: TorusGrid,
     opts: SolverOptions,
@@ -490,9 +488,7 @@ def _newton_direction(
 
     n, m, _ = u.shape
     size = n * m * m
-    dens = h * np.exp(u)
-    means = dens.mean(axis=(1, 2))
-    coeff = entries * rho_t[None, :]
+    dens, means = _density(h, u, check=False)
 
     def jac_matvec(x: np.ndarray) -> np.ndarray:
         delta = x.reshape(n, m, m)
@@ -503,17 +499,11 @@ def _newton_direction(
             weighted / means[:, None, None]
             - dens * (inner / means**2)[:, None, None]
         )
-        out = np.einsum("ij,jxy->ixy", coeff, term)
-        for i in range(n):
-            out[i] += grid.laplacian(delta[i])
+        out = np.einsum("ij,jxy->ixy", coupling, term) + grid.laplacian(delta)
         return out.ravel()
 
     def precond_matvec(x: np.ndarray) -> np.ndarray:
-        delta = x.reshape(n, m, m)
-        out = np.empty_like(delta)
-        for i in range(n):
-            out[i] = grid.inverse_laplacian(delta[i])
-        return out.ravel()
+        return grid.inverse_laplacian(x.reshape(n, m, m)).ravel()
 
     op = LinearOperator((size, size), matvec=jac_matvec, dtype=np.float64)
     prec = LinearOperator((size, size), matvec=precond_matvec, dtype=np.float64)
@@ -534,8 +524,7 @@ def _backtrack(
     u: FloatGrid,
     delta: FloatGrid,
     rnorm: float,
-    rho_t: FloatGrid,
-    entries: FloatGrid,
+    coupling: FloatGrid,
     h: FloatGrid,
     grid: TorusGrid,
     opts: SolverOptions,
@@ -546,7 +535,9 @@ def _backtrack(
         trial = u + lam * delta
         trial -= trial.mean(axis=(1, 2))[:, None, None]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            r = _residual_arrays(trial, entries, rho_t, h, grid)
+            r = _residual_arrays(
+                trial, coupling, *_density(h, trial, check=False), grid
+            )
             tnorm = _l2_norm(r, grid.resolution)
         if math.isfinite(tnorm) and tnorm < rnorm:
             return trial
@@ -576,20 +567,15 @@ def verify_solution(
     the functional value."""
     h = build_weights(w, grid)
     values = u.values
-    means = _density_means(h, values)
-    shifted = values - np.log(means)[:, None, None]
-    masses = (h * np.exp(shifted)).mean(axis=(1, 2))
-    rho = np.asarray(p.rho, dtype=np.float64)
-    r = _residual_arrays(values, p.matrix.entries, rho, h, grid)
-    m = grid.resolution
-    per_component = tuple(
-        float(np.sqrt(np.mean(r[i] ** 2))) for i in range(values.shape[0])
-    )
+    dens, means = _density(h, values)
+    _, masses = _density(h, values - np.log(means)[:, None, None], check=False)
+    coupling = p.matrix.entries * np.asarray(p.rho, dtype=np.float64)[None, :]
+    r = _residual_arrays(values, coupling, dens, means, grid)
     return SolutionReport(
-        residual_l2=per_component,
-        residual_means=tuple(float(x) for x in r.mean(axis=(1, 2))),
-        field_means=tuple(float(x) for x in values.mean(axis=(1, 2))),
-        normalized_masses=tuple(float(x) for x in masses),
+        residual_l2=tuple(np.sqrt(np.mean(r**2, axis=(1, 2))).tolist()),
+        residual_means=tuple(r.mean(axis=(1, 2)).tolist()),
+        field_means=tuple(values.mean(axis=(1, 2)).tolist()),
+        normalized_masses=tuple(masses.tolist()),
         functional_value=functional_J(u, p, h, grid),
-        residual_norm=_l2_norm(r, m),
+        residual_norm=_l2_norm(r, grid.resolution),
     )

@@ -15,6 +15,7 @@ import pytest
 from liouville import ConfigError, fieldio
 from liouville.cli import main, run
 from liouville.config import load_config
+from liouville.solver import MAX_RESOLUTION, MAX_STEPS
 
 EXCHANGE = [[0.0, 1.0], [1.0, 0.0]]
 TORUS = {"type": "closed", "genus": 1}
@@ -140,6 +141,15 @@ def test_surface_forms(tmp_path):
                 "singularities": [{"gamma": 1.0, "position": [True, False]}],
             },
             "singularities[0].position[0]: expected a number",
+        ),
+        (
+            {"matrix": [[1.0]], "solver": {"steps": MAX_STEPS + 1}},
+            f"solver.steps: must be at least 1 and at most {MAX_STEPS}",
+        ),
+        (
+            {"matrix": [[1.0]], "solver": {"resolution": MAX_RESOLUTION + 2}},
+            f"solver.resolution: must be a positive even integer at most "
+            f"{MAX_RESOLUTION}",
         ),
     ],
 )
@@ -483,6 +493,45 @@ def test_solve_requires_source_positions(tmp_path, capsys):
     assert "positions" in capsys.readouterr().err
 
 
+def assert_close(actual, expected):
+    assert actual == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("name", ["readme_solve", "pair_solve"])
+def test_solve_and_verify_match_the_golden_output(tmp_path, capsys, name):
+    # The golden values were recorded with numpy 2.4.6. FFT rounding may
+    # differ between numpy builds, so the floats are compared to 1e-12
+    # relative and the residual-level ones only against the solver tol.
+    golden = json.loads((DATA / "solve.golden.json").read_text())[name]
+    config = str(DATA / f"{name}.json")
+    tol = load_config(config).solver.tol
+    dump = str(tmp_path / "fields.bin")
+
+    code, solved = run_json(capsys, "solve", config, "--out", dump)
+    assert code == 0
+    expected = golden["solve"]
+    assert solved["resolution"] == expected["resolution"]
+    assert_close(solved["q"], expected["q"])
+    assert_close(solved["max_norm"], expected["max_norm"])
+    assert solved["residual_norm"] <= tol
+    assert len(solved["steps"]) == len(expected["steps"])
+    for step, want in zip(solved["steps"], expected["steps"]):
+        assert step["newton_iterations"] == want["newton_iterations"]
+        assert_close(step["t"], want["t"])
+        assert_close(step["max_norm"], want["max_norm"])
+        assert step["final_residual"] <= tol
+
+    code, report = run_json(capsys, "verify", config, "--field", dump)
+    assert code == 0
+    expected = golden["verify"]
+    assert_close(report["functional_value"], expected["functional_value"])
+    assert_close(report["normalized_masses"], expected["normalized_masses"])
+    assert report["residual_norm"] <= tol
+    for key in ("residual_l2", "residual_means", "field_means"):
+        assert len(report[key]) == len(expected[key])
+        assert all(abs(x) <= tol for x in report[key])
+
+
 # -------------------------------------------------------------- exit codes
 
 
@@ -547,6 +596,10 @@ def test_exit_4_on_solver_non_convergence(tmp_path, capsys):
         {"solver": {"resolution": 16, "tol": math.inf}},
         {"singularities": [{"gamma": 1.0, "position": [0.5, math.nan]}]},
         {"singularities": [{"gamma": 1.0, "position": [True, False]}]},
+        # These two ended in a numpy out-of-memory traceback before the
+        # solver bounds.
+        {"solver": {"steps": 10**18}},
+        {"solver": {"resolution": 10_000_000}},
     ],
 )
 def test_solve_rejects_bad_numbers_before_solving(tmp_path, capsys, overrides):
@@ -554,6 +607,12 @@ def test_solve_rejects_bad_numbers_before_solving(tmp_path, capsys, overrides):
     cfg = singular_solve_config(tmp_path, **overrides)
     assert main(["solve", cfg, "--json"]) == 1
     assert_single_error_line(capsys, "ConfigError")
+
+
+def test_resolution_flag_beyond_the_bound_is_rejected(tmp_path, capsys):
+    cfg = singular_solve_config(tmp_path)
+    assert main(["solve", cfg, "--resolution", str(MAX_RESOLUTION + 2)]) == 1
+    assert_single_error_line(capsys, "ValueError")
 
 
 def test_critical_tolerance_flows_from_config_and_flag(tmp_path, capsys):

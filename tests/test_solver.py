@@ -32,7 +32,12 @@ from liouville import (
     solve_continuation,
     verify_solution,
 )
-from liouville.solver import band_limited_source, singular_weight
+from liouville.solver import (
+    MAX_RESOLUTION,
+    MAX_STEPS,
+    band_limited_source,
+    singular_weight,
+)
 
 TORUS = SurfaceSpec.torus()
 
@@ -58,6 +63,8 @@ def test_grid_requires_positive_even_resolution():
         TorusGrid(0)
     with pytest.raises(ValueError):
         TorusGrid(33)
+    with pytest.raises(ValueError):
+        TorusGrid(MAX_RESOLUTION + 2)
 
 
 def test_quadrature_has_unit_volume():
@@ -68,6 +75,7 @@ def test_quadrature_has_unit_volume():
 def test_laplacian_is_exact_on_fourier_modes():
     grid = TorusGrid(32)
     rng = np.random.default_rng(1)
+    modes = []
     for _ in range(10):
         kx, ky = int(rng.integers(-8, 9)), int(rng.integers(-8, 9))
         if kx == 0 and ky == 0:
@@ -78,6 +86,13 @@ def test_laplacian_is_exact_on_fourier_modes():
         assert np.max(np.abs(got - expected)) <= 1e-9 * (
             1.0 + np.max(np.abs(expected))
         )
+        modes.append(mode)
+    # The solver applies both operators to (n, M, M) stacks at once; each
+    # slice must come out bit for bit as if transformed alone.
+    stack = np.stack(modes)
+    for op in (grid.laplacian, grid.inverse_laplacian):
+        per_slice = np.stack([op(mode) for mode in modes])
+        assert op(stack).tobytes() == per_slice.tobytes()
 
 
 def test_inverse_laplacian_inverts_on_mean_zero_fields():
@@ -330,6 +345,39 @@ def test_functional_uses_the_inverse_coupling():
         np.sum(np.log(np.exp(u).mean(axis=(1, 2))))
     )
     assert got == pytest.approx(expected, rel=1e-10)
+    # Exactly the row-major sum of a^{ij} gradient_inner(u_i, u_j) over
+    # the nonzero inverse entries, also when every entry is nonzero.
+    for a in (a, InteractionMatrix([[2.0, 1.0], [1.0, 2.0]])):
+        p = ProblemInstance(TORUS, SingularitySet.empty(), a, (1.0, 3.0))
+        inv = a.inverse()
+        quad = 0.0
+        for i in range(2):
+            for j in range(2):
+                if inv[i, j] != 0.0:
+                    quad += inv[i, j] * grid.gradient_inner(u[i], u[j])
+        log_masses = np.log(np.exp(u).mean(axis=(1, 2)))
+        expected = 0.5 * quad - float(np.sum(np.array([1.0, 3.0]) * log_masses))
+        assert functional_J(FieldSet(u), p, h, grid) == expected
+
+
+def test_functional_makes_one_transform_per_component(monkeypatch):
+    grid = TorusGrid(16)
+    rng = np.random.default_rng(7)
+    u = np.stack([band_limited_noise(grid, rng) for _ in range(2)])
+    a = InteractionMatrix([[2.0, 1.0], [1.0, 2.0]])
+    p = ProblemInstance(TORUS, SingularitySet.empty(), a, (4.0, 4.0))
+    h = build_weights(WeightSpec.uniform(2), grid)
+    planes = []
+    fft2 = np.fft.fft2
+
+    def counting_fft2(x, *args, **kwargs):
+        x = np.asarray(x)
+        planes.append(x.size // (x.shape[-2] * x.shape[-1]))
+        return fft2(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft2", counting_fft2)
+    functional_J(FieldSet(u), p, h, grid)
+    assert 0 < sum(planes) <= 2
 
 
 # ------------------------------------------------- gradient consistency
@@ -567,6 +615,7 @@ def test_single_step_schedule_solves_the_full_problem():
         {"damping_floor": 0.0},
         {"damping_floor": 1.0},
         {"damping_floor": math.nan},
+        {"steps": MAX_STEPS + 1},
     ],
 )
 def test_solver_options_reject_bad_values(bad):
@@ -577,6 +626,7 @@ def test_solver_options_reject_bad_values(bad):
 def test_solver_options_accept_the_boundary_values():
     opts = SolverOptions(steps=1, t_start=1.0, max_newton=0, max_krylov=1)
     assert opts.t_start == 1.0
+    assert SolverOptions(steps=MAX_STEPS).steps == MAX_STEPS
 
 
 # ---------------------------------------------------------- verification
