@@ -6,6 +6,7 @@ Binary layout: one ASCII header line "n M\n", then n*M*M little-endian
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -25,13 +26,12 @@ def write_binary(path: str | Path, values: np.ndarray) -> None:
 
 def read_binary(path: str | Path) -> np.ndarray:
     with open(path, "rb") as f:
-        header = f.readline().decode("ascii", errors="replace").split()
-        if len(header) != 2:
+        # Exactly what write_binary writes: a header cut short, signed or
+        # padded is malformed.
+        header = re.fullmatch(rb"(\d+) (\d+)\n", f.readline())
+        if header is None:
             raise ValueError(f"{path}: malformed field dump header")
-        try:
-            n, m = int(header[0]), int(header[1])
-        except ValueError as exc:
-            raise ValueError(f"{path}: malformed field dump header") from exc
+        n, m = int(header[1]), int(header[2])
         payload = f.read()
     expected = n * m * m * 8
     if len(payload) != expected:

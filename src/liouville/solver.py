@@ -125,6 +125,8 @@ class FieldSet:
             raise ValueError(
                 f"expected shape (n, M, M), got {values.shape}"
             )
+        if not np.all(np.isfinite(values)):
+            raise ValueError("field is not finite: it holds NaN or infinite values")
         means = values.mean(axis=(1, 2))
         worst = float(np.max(np.abs(means))) if means.size else 0.0
         if worst > MEAN_ZERO_TOL:
@@ -278,7 +280,7 @@ def _density(
     if check and (not np.all(np.isfinite(means)) or np.any(means <= 0.0)):
         bad = int(np.argmin(means))
         raise ZeroMassDensity(
-            f"<h_{bad} e^(u_{bad})> = {means[bad]!r} is not positive"
+            f"<h_{bad} e^(u_{bad})> = {float(means[bad])!r} is not positive"
         )
     return dens, means
 
@@ -321,13 +323,20 @@ def functional_J(
     The quadratic part is evaluated through the mode sums, which makes
     the solver residual its exact discrete Euler-Lagrange gradient.
     """
+    _, means = _density(h, u.values)
+    return _energy(u.values, p, means, grid)
+
+
+def _energy(
+    values: FloatGrid, p: ProblemInstance, means: FloatGrid, grid: TorusGrid
+) -> float:
+    """functional_J from the quadratures means = <h_i e^{u_i}> of values."""
     inv = p.matrix.inverse()
-    modes = grid._modes(u.values)
+    modes = grid._modes(values)
     quad = 0.0
     # Summed row-major over the nonzero a^{ij}, from one transform per component.
     for i, j in zip(*np.nonzero(inv)):
         quad += inv[i, j] * grid._mode_inner(modes[i], modes[j])
-    _, means = _density(h, u.values)
     rho = np.asarray(p.rho, dtype=np.float64)
     return 0.5 * quad - float(np.sum(rho * np.log(means)))
 
@@ -448,6 +457,18 @@ def _l2_norm(r: FloatGrid, m: int) -> float:
     return float(np.sqrt(np.sum(r * r)) / m)
 
 
+def _evaluate(
+    u: FloatGrid, coupling: FloatGrid, h: FloatGrid, grid: TorusGrid
+) -> tuple[FloatGrid, float, FloatGrid, FloatGrid]:
+    """Residual of the iterate u, its norm, and the density and means it
+    was built from: the only place the Newton path forms them. A
+    non-finite norm is left to the caller, which rejects the step."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        dens, means = _density(h, u, check=False)
+        r = _residual_arrays(u, coupling, dens, means, grid)
+        return r, _l2_norm(r, grid.resolution), dens, means
+
+
 def _newton_stage(
     u: FloatGrid,
     t: float,
@@ -456,39 +477,51 @@ def _newton_stage(
     grid: TorusGrid,
     opts: SolverOptions,
 ) -> tuple[FloatGrid, StepDiagnostics]:
-    m = grid.resolution
-    history: list[float] = []
-    for iteration in range(opts.max_newton + 1):
-        r = _residual_arrays(u, coupling, *_density(h, u, check=False), grid)
-        rnorm = _l2_norm(r, m)
-        history.append(rnorm)
-        if rnorm <= opts.tol:
-            return u, StepDiagnostics(
-                t, iteration, tuple(history), float(np.max(np.abs(u)))
+    r, rnorm, dens, means = _evaluate(u, coupling, h, grid)
+    history = [rnorm]
+    while not rnorm <= opts.tol:  # a NaN residual has not converged either
+        if len(history) > opts.max_newton:
+            raise NoConvergence(
+                f"stage t = {t:g} still at residual {rnorm:.3e} after "
+                f"{opts.max_newton} Newton iterations",
+                rnorm,
             )
-        if iteration < opts.max_newton:
-            delta = _newton_direction(u, coupling, h, grid, opts, -r)
-            u = _backtrack(u, delta, rnorm, coupling, h, grid, opts, t)
-    raise NoConvergence(
-        f"stage t = {t:g} still at residual {rnorm:.3e} after "
-        f"{opts.max_newton} Newton iterations",
-        rnorm,
+        delta = _newton_direction(dens, means, coupling, grid, opts, -r)
+        # Backtrack: halve the step until the residual decreases; the
+        # accepted trial and its evaluation become the next iterate.
+        lam = 1.0
+        while lam >= opts.damping_floor:
+            trial = u + lam * delta
+            trial -= trial.mean(axis=(1, 2))[:, None, None]
+            evaluated = _evaluate(trial, coupling, h, grid)
+            if math.isfinite(evaluated[1]) and evaluated[1] < rnorm:
+                break
+            lam *= 0.5
+        else:
+            raise StepFailure(
+                f"stage t = {t:g}: no residual decrease above the damping "
+                f"floor {opts.damping_floor:g} (residual {rnorm:.3e})"
+            )
+        u = trial
+        r, rnorm, dens, means = evaluated
+        history.append(rnorm)
+    return u, StepDiagnostics(
+        t, len(history) - 1, tuple(history), float(np.max(np.abs(u)))
     )
 
 
 def _newton_direction(
-    u: FloatGrid,
+    dens: FloatGrid,
+    means: FloatGrid,
     coupling: FloatGrid,
-    h: FloatGrid,
     grid: TorusGrid,
     opts: SolverOptions,
     rhs: FloatGrid,
 ) -> FloatGrid:
     from scipy.sparse.linalg import LinearOperator, gmres
 
-    n, m, _ = u.shape
+    n, m, _ = dens.shape
     size = n * m * m
-    dens, means = _density(h, u, check=False)
 
     def jac_matvec(x: np.ndarray) -> np.ndarray:
         delta = x.reshape(n, m, m)
@@ -520,34 +553,6 @@ def _newton_direction(
     return x.reshape(n, m, m)
 
 
-def _backtrack(
-    u: FloatGrid,
-    delta: FloatGrid,
-    rnorm: float,
-    coupling: FloatGrid,
-    h: FloatGrid,
-    grid: TorusGrid,
-    opts: SolverOptions,
-    t: float,
-) -> FloatGrid:
-    lam = 1.0
-    while lam >= opts.damping_floor:
-        trial = u + lam * delta
-        trial -= trial.mean(axis=(1, 2))[:, None, None]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            r = _residual_arrays(
-                trial, coupling, *_density(h, trial, check=False), grid
-            )
-            tnorm = _l2_norm(r, grid.resolution)
-        if math.isfinite(tnorm) and tnorm < rnorm:
-            return trial
-        lam *= 0.5
-    raise StepFailure(
-        f"stage t = {t:g}: no residual decrease above the damping floor "
-        f"{opts.damping_floor:g} (residual {rnorm:.3e})"
-    )
-
-
 @dataclass(frozen=True)
 class SolutionReport:
     residual_l2: tuple[float, ...]
@@ -576,6 +581,6 @@ def verify_solution(
         residual_means=tuple(r.mean(axis=(1, 2)).tolist()),
         field_means=tuple(values.mean(axis=(1, 2)).tolist()),
         normalized_masses=tuple(masses.tolist()),
-        functional_value=functional_J(u, p, h, grid),
+        functional_value=_energy(values, p, means, grid),
         residual_norm=_l2_norm(r, grid.resolution),
     )

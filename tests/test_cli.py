@@ -615,6 +615,16 @@ def test_resolution_flag_beyond_the_bound_is_rejected(tmp_path, capsys):
     assert_single_error_line(capsys, "ValueError")
 
 
+def test_verify_rejects_a_non_finite_dump(tmp_path, capsys):
+    cfg = singular_solve_config(tmp_path)
+    values = np.zeros((1, 32, 32))
+    values[0, 3, 5] = math.nan
+    dump = tmp_path / "nan.bin"
+    fieldio.write_binary(dump, values)
+    assert main(["verify", cfg, "--field", str(dump)]) == 1
+    assert_single_error_line(capsys, "ValueError")
+
+
 def test_critical_tolerance_flows_from_config_and_flag(tmp_path, capsys):
     p = write_config(
         tmp_path,

@@ -7,6 +7,7 @@ solve against a five-point finite-difference operator whose residual
 must shrink at the grid-squared rate.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from liouville import (
     ProblemInstance,
     SingularitySet,
     SolverOptions,
+    StepFailure,
     SurfaceSpec,
     TorusGrid,
     WeightSpec,
@@ -32,6 +34,7 @@ from liouville import (
     solve_continuation,
     verify_solution,
 )
+from liouville import solver
 from liouville.solver import (
     MAX_RESOLUTION,
     MAX_STEPS,
@@ -119,6 +122,24 @@ def test_gradient_inner_matches_integration_by_parts():
 def test_fieldset_rejects_nonzero_means():
     with pytest.raises(ValueError):
         FieldSet(np.full((1, 8, 8), 0.5))
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        {(0, 1, 2): math.nan},
+        {(1, 0, 0): math.inf},
+        {(0, 3, 3): math.inf, (0, 5, 6): -math.inf},
+    ],
+    ids=["nan", "inf", "plus-minus-inf"],
+)
+def test_fieldset_rejects_non_finite_values(entries):
+    # NaN and a +inf/-inf pair give a NaN mean, which the mean check alone passes.
+    values = np.zeros((2, 8, 8))
+    for index, value in entries.items():
+        values[index] = value
+    with pytest.raises(ValueError, match="not finite"):
+        FieldSet(values)
 
 
 def test_fieldset_zeros_constructor():
@@ -302,7 +323,7 @@ def test_residual_guards_against_vanishing_density():
     grid = TorusGrid(16)
     p = scalar_problem(1.0)
     h = np.zeros((1, 16, 16))
-    with pytest.raises(ZeroMassDensity):
+    with pytest.raises(ZeroMassDensity, match=r"= 0\.0 is not positive"):
         residual(FieldSet.zeros(1, 16), p, h, grid)
 
 
@@ -572,27 +593,64 @@ def test_solver_rejects_mismatched_weight_count():
         solve_continuation(p, WeightSpec.uniform(2), TorusGrid(16))
 
 
-def test_exhausted_newton_budget_raises():
-    grid = TorusGrid(32)
-
+def sine_weight_problem() -> tuple[ProblemInstance, WeightSpec]:
     def g(x, y):
         return 1.0 + 0.1 * np.sin(2.0 * np.pi * x)
 
-    p = scalar_problem(2.0)
-    w = WeightSpec((g,), SingularitySet.empty())
+    return scalar_problem(2.0), WeightSpec((g,), SingularitySet.empty())
+
+
+def test_exhausted_newton_budget_raises():
+    p, w = sine_weight_problem()
     with pytest.raises(NoConvergence):
-        solve_continuation(p, w, grid, SolverOptions(max_newton=0))
+        solve_continuation(p, w, TorusGrid(32), SolverOptions(max_newton=0))
+
+
+def test_unreachable_tolerance_stops_at_the_damping_floor():
+    p, w = sine_weight_problem()
+    opts = SolverOptions(tol=1e-30, steps=1)
+    with pytest.raises(StepFailure, match="damping floor 1e-06"):
+        solve_continuation(p, w, TorusGrid(16), opts)
+
+
+def test_exhausted_budget_carries_the_last_residual(monkeypatch):
+    p, w = sine_weight_problem()
+    norms = []
+    l2_norm = solver._l2_norm
+
+    def recording_l2_norm(r, m):
+        norms.append(l2_norm(r, m))
+        return norms[-1]
+
+    monkeypatch.setattr(solver, "_l2_norm", recording_l2_norm)
+    opts = SolverOptions(tol=1e-30, max_newton=3)
+    with pytest.raises(NoConvergence, match="after 3 Newton iterations") as info:
+        solve_continuation(p, w, TorusGrid(32), opts)
+    assert info.value.residual == norms[-1]
+    assert f"residual {norms[-1]:.3e}" in str(info.value)
+
+
+def test_newton_evaluates_each_iterate_once(monkeypatch):
+    # Every evaluation of an iterate starts with h e^u, so a repeated
+    # np.exp argument means the same iterate was evaluated again.
+    p, w = sine_weight_problem()
+    digests = []
+    exp = np.exp
+
+    def recording_exp(x, *args, **kwargs):
+        data = np.ascontiguousarray(x).tobytes()
+        digests.append(hashlib.sha256(data).hexdigest())
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", recording_exp)
+    result = solve_continuation(p, w, TorusGrid(16), SolverOptions(steps=1))
+    assert len(digests) > result.steps[0].newton_iterations > 0
+    assert len(set(digests)) == len(digests)
 
 
 def test_single_step_schedule_solves_the_full_problem():
-    grid = TorusGrid(32)
-
-    def g(x, y):
-        return 1.0 + 0.1 * np.sin(2.0 * np.pi * x)
-
-    p = scalar_problem(2.0)
-    w = WeightSpec((g,), SingularitySet.empty())
-    result = solve_continuation(p, w, grid, SolverOptions(steps=1))
+    p, w = sine_weight_problem()
+    result = solve_continuation(p, w, TorusGrid(32), SolverOptions(steps=1))
     assert len(result.steps) == 1
     assert result.steps[0].t == 1.0
     assert result.residual_norm <= 1e-8
@@ -640,6 +698,28 @@ def test_verify_zero_field_uniform_weights():
     assert report.normalized_masses == (1.0,)
     assert report.residual_norm == 0.0
     assert report.functional_value == 0.0
+
+
+def test_verify_takes_one_exponential_per_density(monkeypatch):
+    grid = TorusGrid(16)
+    rng = np.random.default_rng(3)
+    u = FieldSet(np.stack([band_limited_noise(grid, rng) for _ in range(2)]))
+    a = InteractionMatrix([[2.0, 1.0], [1.0, 2.0]])
+    p = ProblemInstance(TORUS, SingularitySet.empty(), a, (4.0, 4.0))
+    w = WeightSpec.uniform(2)
+    expected = functional_J(u, p, build_weights(w, grid), grid)
+    calls = []
+    exp = np.exp
+
+    def counting_exp(x, *args, **kwargs):
+        calls.append(np.shape(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    report = verify_solution(u, p, w, grid)
+    # One for the density of u, one for the masses after the shift.
+    assert len(calls) == 2
+    assert report.functional_value == expected
 
 
 def test_verify_reports_on_a_converged_singular_solve():
