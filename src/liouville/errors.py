@@ -67,6 +67,10 @@ class ZeroMassDensity(LiouvilleError):
     """A density integral <h_i e^{u_i}> is not positive."""
 
 
+class DensityOverflow(ZeroMassDensity):
+    """A density integral <h_i e^{u_i}> overflowed the double range."""
+
+
 class NegativeGamma(LiouvilleError):
     """Solver weights require nonnegative singular strengths."""
 

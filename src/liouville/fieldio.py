@@ -43,14 +43,15 @@ def read_binary(path: str | Path) -> np.ndarray:
 
 
 def write_csv(path: str | Path, values: np.ndarray) -> None:
+    """One row "x,y,u1,...,un" per node, row-major, every float as repr.
+    Each grid row is formatted column-wise and written at once, so the
+    text in memory stays one grid row long."""
+    values = np.asarray(values, dtype=np.float64)
     n, m, _ = values.shape
-    header = "x,y," + ",".join(f"u{i + 1}" for i in range(n))
+    coords = [repr(i / m) for i in range(m)]
     with open(path, "w", newline="") as f:
-        f.write(header + "\n")
-        for i in range(m):
-            x = i / m
-            for j in range(m):
-                y = j / m
-                fields = [repr(x), repr(y)]
-                fields.extend(repr(float(values[c, i, j])) for c in range(n))
-                f.write(",".join(fields) + "\n")
+        f.write("x,y," + ",".join(f"u{i + 1}" for i in range(n)) + "\n")
+        for i, x in enumerate(coords):
+            columns = [map(repr, values[c, i].tolist()) for c in range(n)]
+            rows = map(",".join, zip(coords, *columns))
+            f.write("".join(f"{x},{row}\n" for row in rows))

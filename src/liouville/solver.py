@@ -8,8 +8,8 @@ is discretized on a uniform M x M grid over [0,1)^2 with mean-zero
 unknowns. Derivatives are exact on grid modes (FFT), integrals use the
 equal-weight quadrature (spectrally accurate on the torus), and the
 nonlinear system is path-followed in the total mass with a damped
-Newton iteration whose linear solves are GMRES preconditioned by the
-inverse Laplacian. The solver only operates strictly below the first
+Newton iteration whose linear solves are GMRES, right-preconditioned by
+the inverse Laplacian. The solver only operates strictly below the first
 critical energy level, where solutions stay bounded.
 """
 
@@ -22,7 +22,13 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .degree import ProblemInstance, normalized_energy
-from .errors import NegativeGamma, NoConvergence, StepFailure, ZeroMassDensity
+from .errors import (
+    DensityOverflow,
+    NegativeGamma,
+    NoConvergence,
+    StepFailure,
+    ZeroMassDensity,
+)
 from .spectrum import SingularitySet, enumerate_spectrum
 
 __all__ = [
@@ -59,7 +65,9 @@ class TorusGrid:
     Wavenumbers are the integer FFT modes per axis (from -M/2 up to
     M/2 - 1); the quadrature weight per node is 1/M^2, so the torus has
     volume 1. The Laplacian and its inverse act on the last two axes, so
-    they take one (M, M) field or an (n, M, M) stack alike.
+    they take one (M, M) field or an (n, M, M) stack alike. Fields are
+    real, so they run on real transforms: the last axis keeps only the
+    wavenumbers 0..M/2, the other half being the complex conjugate.
     """
 
     def __init__(self, resolution: int = DEFAULT_RESOLUTION) -> None:
@@ -74,15 +82,21 @@ class TorusGrid:
         self.x, self.y = np.meshgrid(axis, axis, indexing="ij")
         k = np.rint(np.fft.fftfreq(m, d=1.0 / m)).astype(np.int64)
         self.kx, self.ky = np.meshgrid(k, k, indexing="ij")
-        # Symbol of the Laplacian on mode k: -4 pi^2 |k|^2.
-        self._symbol = -4.0 * math.pi**2 * (
-            self.kx.astype(np.float64) ** 2 + self.ky.astype(np.float64) ** 2
-        )
+        # Symbol of the Laplacian on the half spectrum: -4 pi^2 |k|^2.
+        kx = k.astype(np.float64)[:, None]
+        ky = np.arange(m // 2 + 1, dtype=np.float64)[None, :]
+        self._symbol = -4.0 * math.pi**2 * (kx**2 + ky**2)
         inv = np.zeros_like(self._symbol)
         nz = self._symbol != 0.0
         inv[nz] = 1.0 / self._symbol[nz]
         self._inv_symbol = inv
-        for arr in (self.x, self.y, self.kx, self.ky, self._symbol, inv):
+        # Columns 1..M/2-1 stand for their conjugates too; the k_y = 0 and
+        # Nyquist columns are their own.
+        count = np.full(m // 2 + 1, 2.0)
+        count[[0, -1]] = 1.0
+        self._gradient_weight = -self._symbol * count / float(m) ** 4
+        for arr in (self.x, self.y, self.kx, self.ky, self._symbol, inv,
+                    self._gradient_weight):
             arr.setflags(write=False)
 
     def integrate(self, f: FloatGrid) -> float:
@@ -90,11 +104,15 @@ class TorusGrid:
         return float(np.mean(f))
 
     def laplacian(self, f: FloatGrid) -> FloatGrid:
-        return np.real(np.fft.ifft2(np.fft.fft2(f) * self._symbol))
+        return self._apply(self._symbol, f)
 
     def inverse_laplacian(self, f: FloatGrid) -> FloatGrid:
         """Solve Delta g = f - <f> with <g> = 0 (zero mode annihilated)."""
-        return np.real(np.fft.ifft2(np.fft.fft2(f) * self._inv_symbol))
+        return self._apply(self._inv_symbol, f)
+
+    def _apply(self, symbol: np.ndarray, f: FloatGrid) -> FloatGrid:
+        m = self.resolution
+        return np.fft.irfft2(np.fft.rfft2(f) * symbol, s=(m, m))
 
     def gradient_inner(self, f: FloatGrid, g: FloatGrid) -> float:
         """Integral of grad f . grad g over the torus, via the mode sums."""
@@ -102,12 +120,11 @@ class TorusGrid:
 
     def _modes(self, f: FloatGrid) -> np.ndarray:
         """Fourier modes of f over its last two axes, as _mode_inner reads them."""
-        return np.fft.fft2(f)
+        return np.fft.rfft2(f)
 
     def _mode_inner(self, fh: np.ndarray, gh: np.ndarray) -> float:
         """gradient_inner(f, g) from fh = _modes(f) and gh = _modes(g)."""
-        scale = float(self.resolution) ** 4
-        return float(np.sum(-self._symbol * np.real(fh * np.conj(gh))) / scale)
+        return float(np.sum(self._gradient_weight * np.real(fh * np.conj(gh))))
 
     def __repr__(self) -> str:
         return f"TorusGrid(resolution={self.resolution})"
@@ -182,8 +199,11 @@ def green_function(grid: TorusGrid, q: tuple[float, float]) -> FloatGrid:
     kernel even in x - q, hence symmetric in its arguments.
     """
     m2 = float(grid.resolution) ** 2
-    coeffs = -_phase(grid, q) * grid._inv_symbol * m2
-    return np.real(np.fft.ifft2(coeffs))
+    k2 = (grid.kx**2 + grid.ky**2).astype(np.float64)
+    inv = np.divide(
+        1.0, 4.0 * math.pi**2 * k2, out=np.zeros_like(k2), where=k2 != 0.0
+    )
+    return np.real(np.fft.ifft2(_phase(grid, q) * inv * m2))
 
 
 def band_limited_source(grid: TorusGrid, q: tuple[float, float]) -> FloatGrid:
@@ -274,10 +294,18 @@ def _density(
     h: FloatGrid, u: FloatGrid, check: bool = True
 ) -> tuple[FloatGrid, FloatGrid]:
     """Densities h_i e^{u_i} and their quadratures <h_i e^{u_i}>; with
-    ``check``, ZeroMassDensity unless every quadrature is positive."""
-    dens = h * np.exp(u)
-    means = dens.mean(axis=(1, 2))
-    if check and (not np.all(np.isfinite(means)) or np.any(means <= 0.0)):
+    ``check``, DensityOverflow unless every quadrature is finite and
+    ZeroMassDensity unless every one is positive."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dens = h * np.exp(u)
+        means = dens.mean(axis=(1, 2))
+    if check and not np.all(np.isfinite(means)):
+        bad = int(np.argmin(np.isfinite(means)))
+        raise DensityOverflow(
+            f"<h_{bad} e^(u_{bad})> overflowed: the quadrature exceeds the "
+            "double range"
+        )
+    if check and np.any(means <= 0.0):
         bad = int(np.argmin(means))
         raise ZeroMassDensity(
             f"<h_{bad} e^(u_{bad})> = {float(means[bad])!r} is not positive"
@@ -306,7 +334,8 @@ def residual(
     Raises
     ------
     ZeroMassDensity
-        If some quadrature <h_j e^{u_j}> is not positive.
+        If some quadrature <h_j e^{u_j}> is not positive; its subclass
+        DensityOverflow if one exceeds the double range.
     """
     coupling = p.matrix.entries * np.asarray(p.rho, dtype=np.float64)[None, :]
     return FieldSet(
@@ -518,13 +547,12 @@ def _newton_direction(
     opts: SolverOptions,
     rhs: FloatGrid,
 ) -> FloatGrid:
-    from scipy.sparse.linalg import LinearOperator, gmres
+    """Newton step delta with J delta = rhs, right-preconditioned in
+    w = Delta delta: one inverse Laplacian per Krylov step and one more
+    for delta = Delta^{-1} w, and GMRES stops on the true residual."""
 
-    n, m, _ = dens.shape
-    size = n * m * m
-
-    def jac_matvec(x: np.ndarray) -> np.ndarray:
-        delta = x.reshape(n, m, m)
+    def operator(w: FloatGrid) -> FloatGrid:
+        delta = grid.inverse_laplacian(w)
         weighted = dens * delta
         inner = weighted.mean(axis=(1, 2))
         # Derivative of h_j e^{u_j}/<h_j e^{u_j}> in direction delta_j.
@@ -532,25 +560,55 @@ def _newton_direction(
             weighted / means[:, None, None]
             - dens * (inner / means**2)[:, None, None]
         )
-        out = np.einsum("ij,jxy->ixy", coupling, term) + grid.laplacian(delta)
-        return out.ravel()
+        return w + np.einsum("ij,jxy->ixy", coupling, term)
 
-    def precond_matvec(x: np.ndarray) -> np.ndarray:
-        return grid.inverse_laplacian(x.reshape(n, m, m)).ravel()
-
-    op = LinearOperator((size, size), matvec=jac_matvec, dtype=np.float64)
-    prec = LinearOperator((size, size), matvec=precond_matvec, dtype=np.float64)
-    x, _info = gmres(
-        op,
-        rhs.ravel(),
-        rtol=opts.gmres_rtol,
-        atol=0.0,
-        restart=opts.max_krylov,
-        maxiter=1,
-        M=prec,
-    )
+    w, _, _ = _gmres(operator, rhs, opts.gmres_rtol, opts.max_krylov)
     # An inexact direction is acceptable: backtracking rejects bad steps.
-    return x.reshape(n, m, m)
+    return grid.inverse_laplacian(w)
+
+
+def _gmres(operator, b: np.ndarray, rtol: float, max_steps: int):
+    """One GMRES cycle of at most max_steps Arnoldi steps (Saad-Schultz
+    1986; Saad, Iterative Methods for Sparse Linear Systems, Alg. 6.9)
+    with modified Gram-Schmidt and Givens rotations. Stops once the
+    residual |g_k| <= rtol ||b||. Returns x, the step count and that
+    residual, which is ||operator(x) - b|| up to rounding."""
+    beta = math.sqrt(float(np.vdot(b, b)))
+    if beta == 0.0:
+        return np.zeros_like(b), 0, 0.0
+    basis = [b / beta]  # grows one vector per step, never preallocated
+    columns: list[list[float]] = []
+    rotations: list[tuple[float, float]] = []
+    g = [beta]
+    while True:
+        w = operator(basis[-1])
+        column = []
+        for v in basis:
+            coef = float(np.vdot(v, w))
+            w = w - coef * v
+            column.append(coef)
+        below = math.sqrt(float(np.vdot(w, w)))
+        for j, (c, s) in enumerate(rotations):
+            column[j], column[j + 1] = (
+                c * column[j] + s * column[j + 1],
+                c * column[j + 1] - s * column[j],
+            )
+        radius = math.hypot(column[-1], below)
+        c, s = column[-1] / radius, below / radius
+        rotations.append((c, s))
+        column[-1] = radius
+        columns.append(column)
+        g.append(-s * g[-1])
+        g[-2] *= c
+        k = len(columns)
+        if abs(g[-1]) <= rtol * beta or k == max_steps:
+            break
+        basis.append(w / below)
+    r = np.zeros((k, k))
+    for j, column in enumerate(columns):
+        r[: j + 1, j] = column
+    y = np.linalg.solve(r, g[:k])
+    return sum(coef * v for coef, v in zip(y, basis)), k, abs(g[-1])
 
 
 @dataclass(frozen=True)

@@ -625,6 +625,25 @@ def test_verify_rejects_a_non_finite_dump(tmp_path, capsys):
     assert_single_error_line(capsys, "ValueError")
 
 
+def test_verify_reports_an_overflowing_quadrature_on_one_line(tmp_path):
+    # A finite dump whose e^u overflows: numpy's RuntimeWarnings would
+    # reach stderr too, so the command runs in a fresh interpreter.
+    values = np.zeros((1, 64, 64))
+    values[0, 1, 2], values[0, 3, 4] = 800.0, -800.0
+    dump = tmp_path / "overflow.bin"
+    fieldio.write_binary(dump, values)
+    done = fresh_python(
+        "import sys; from liouville.cli import main; sys.exit(main(sys.argv[1:]))",
+        "verify", str(DATA / "readme_solve.json"), "--field", str(dump),
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error[DensityOverflow]: ")
+    assert "overflowed" in lines[0]
+
+
 def test_critical_tolerance_flows_from_config_and_flag(tmp_path, capsys):
     p = write_config(
         tmp_path,
@@ -769,6 +788,38 @@ def test_importing_the_cli_does_not_load_scipy():
         check=True,
     ).stdout
     assert out.strip() == "False"
+
+
+def fresh_python(code, *argv):
+    """Run code in a new interpreter that imports liouville from this tree."""
+    import liouville
+
+    src = os.path.dirname(os.path.dirname(liouville.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, *filter(None, [env.get("PYTHONPATH")])]
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_solve_and_verify_do_not_load_scipy(tmp_path):
+    config = str(DATA / "readme_solve.json")
+    dump = str(tmp_path / "fields.bin")
+    probe = (
+        "import sys; from liouville.cli import main; "
+        "codes = main(['solve', sys.argv[1], '--out', sys.argv[2]]), "
+        "main(['verify', sys.argv[1], '--field', sys.argv[2]]); "
+        "print(codes, 'scipy' in sys.modules)"
+    )
+    done = fresh_python(probe, config, dump)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "(0, 0) False"
 
 
 def test_missing_subcommand_exits_via_argparse(capsys):

@@ -1,14 +1,16 @@
-"""Property tests for the binary field dump.
+"""Property tests for the field dumps.
 
 Any truncation of a dump written by ``write_binary``, and any garbled
 header, makes ``read_binary`` raise ``ValueError``: never another
 exception type, and never an array of a shape its header does not state.
+``write_csv`` writes the same bytes as a per-node ``repr`` loop.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from liouville import fieldio
 
@@ -83,3 +85,41 @@ def test_garbled_header_is_rejected_or_read_as_stated(
     n, m = (int(token) for token in garbled.split())
     assert out.shape == (n, m, m)
     np.testing.assert_array_equal(out.ravel(), values.ravel())
+
+
+def per_node_csv(path, values):
+    """Reference writer: one repr per node, in a Python loop."""
+    n, m, _ = values.shape
+    header = "x,y," + ",".join(f"u{i + 1}" for i in range(n))
+    with open(path, "w", newline="") as f:
+        f.write(header + "\n")
+        for i in range(m):
+            x = i / m
+            for j in range(m):
+                y = j / m
+                fields = [repr(x), repr(y)]
+                fields.extend(repr(float(values[c, i, j])) for c in range(n))
+                f.write(",".join(fields) + "\n")
+
+
+# Signed zeros, subnormals and values near the double range, mixed with
+# ordinary floats.
+csv_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@property_settings
+@given(
+    values=st.tuples(st.integers(0, 3), st.integers(2, 16)).flatmap(
+        lambda shape: hnp.arrays(
+            np.float64, (shape[0], shape[1], shape[1]), elements=csv_floats
+        )
+    )
+)
+def test_csv_matches_the_per_node_writer(tmp_path_factory, values):
+    folder = tmp_path_factory.mktemp("csv")
+    fieldio.write_csv(folder / "fast.csv", values)
+    per_node_csv(folder / "slow.csv", values)
+    assert (folder / "fast.csv").read_bytes() == (folder / "slow.csv").read_bytes()

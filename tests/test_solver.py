@@ -12,6 +12,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from liouville import (
     FieldSet,
@@ -389,16 +392,54 @@ def test_functional_makes_one_transform_per_component(monkeypatch):
     p = ProblemInstance(TORUS, SingularitySet.empty(), a, (4.0, 4.0))
     h = build_weights(WeightSpec.uniform(2), grid)
     planes = []
-    fft2 = np.fft.fft2
+    rfft2 = np.fft.rfft2
 
-    def counting_fft2(x, *args, **kwargs):
+    def counting_rfft2(x, *args, **kwargs):
         x = np.asarray(x)
         planes.append(x.size // (x.shape[-2] * x.shape[-1]))
-        return fft2(x, *args, **kwargs)
+        return rfft2(x, *args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "fft2", counting_fft2)
+    monkeypatch.setattr(np.fft, "rfft2", counting_rfft2)
     functional_J(FieldSet(u), p, h, grid)
     assert 0 < sum(planes) <= 2
+
+
+def full_spectrum_inner(f: np.ndarray, g: np.ndarray) -> float:
+    """Integral of grad f . grad g as the sum over every complex mode."""
+    m = f.shape[-1]
+    k = np.fft.fftfreq(m, d=1.0 / m)
+    k2 = k[:, None] ** 2 + k[None, :] ** 2
+    fh, gh = np.fft.fft2(f), np.fft.fft2(g)
+    return float(np.sum(4.0 * math.pi**2 * k2 * np.real(fh * np.conj(gh)))) / m**4
+
+
+@pytest.mark.parametrize("m", [8, 64])
+def test_half_spectrum_sums_equal_the_full_spectrum_sums(m):
+    # White noise fills the k_y = 0 and Nyquist columns, which the real
+    # transform keeps once, as much as the interior ones, which it keeps
+    # for their conjugates too.
+    grid = TorusGrid(m)
+    rng = np.random.default_rng(m)
+    u = rng.standard_normal((2, m, m))
+    u -= u.mean(axis=(1, 2))[:, None, None]
+    for f, g in ((u[0], u[1]), (u[0], u[0]), (u[1], u[1])):
+        assert grid.gradient_inner(f, g) == pytest.approx(
+            full_spectrum_inner(f, g), rel=1e-13
+        )
+    a = InteractionMatrix([[2.0, 1.0], [1.0, 2.0]])
+    p = ProblemInstance(TORUS, SingularitySet.empty(), a, (4.0, 3.0))
+    h = build_weights(WeightSpec.uniform(2), grid)
+    inv = a.inverse()
+    quad = sum(
+        inv[i, j] * full_spectrum_inner(u[i], u[j])
+        for i in range(2)
+        for j in range(2)
+    )
+    log_masses = np.log(np.mean(np.exp(u), axis=(1, 2)))
+    expected = 0.5 * quad - float(np.sum(np.array([4.0, 3.0]) * log_masses))
+    assert functional_J(FieldSet(u), p, h, grid) == pytest.approx(
+        expected, rel=1e-13
+    )
 
 
 # ------------------------------------------------- gradient consistency
@@ -462,6 +503,100 @@ def test_coupling_matrix_times_gradient_recovers_the_residual():
     assert np.max(np.abs(recovered + r)) <= 1e-6 * (
         1.0 + np.max(np.abs(r))
     )
+
+
+# ------------------------------------------------------------------ GMRES
+
+RTOL = SolverOptions().gmres_rtol
+gmres_settings = settings(
+    max_examples=100, deadline=None, derandomize=True, database=None
+)
+
+
+@st.composite
+def dense_systems(draw):
+    """Nonsymmetric A = 2n I + E with |E_ij| <= 1, so cond(A) <= 3, and b."""
+    n = draw(st.integers(1, 12))
+    unit = st.floats(-1.0, 1.0)
+    a = 2.0 * n * np.eye(n) + draw(hnp.arrays(np.float64, (n, n), elements=unit))
+    b = draw(hnp.arrays(np.float64, n, elements=unit))
+    assume(np.linalg.norm(b) > 1e-3)
+    return a, b
+
+
+@gmres_settings
+@given(system=dense_systems())
+def test_gmres_matches_a_direct_solve(system):
+    a, b = system
+    x, steps, estimate = solver._gmres(lambda v: a @ v, b, RTOL, len(b))
+    exact = np.linalg.solve(a, b)
+    true = float(np.linalg.norm(a @ x - b))
+    assert 1 <= steps <= len(b)
+    assert true <= RTOL * np.linalg.norm(b)
+    # Right-preconditioned or not, the estimate is the true residual.
+    assert abs(estimate - true) <= 1e-13 * np.linalg.norm(b)
+    bound = np.linalg.cond(a) * RTOL + 1e-14
+    assert np.linalg.norm(x - exact) <= bound * np.linalg.norm(exact)
+
+
+@gmres_settings
+@given(system=dense_systems())
+def test_gmres_with_one_step_minimizes_along_b(system):
+    a, b = system
+    x, steps, estimate = solver._gmres(lambda v: a @ v, b, RTOL, 1)
+    ab = a @ b
+    assert steps == 1
+    best = (ab @ b) / (ab @ ab) * b
+    assert np.linalg.norm(x - best) <= 1e-12 * np.linalg.norm(best)
+    assert estimate == pytest.approx(np.linalg.norm(a @ x - b), rel=1e-9, abs=1e-15)
+
+
+def test_gmres_stops_at_an_exact_breakdown():
+    # e_0 is an eigenvector of an upper triangular matrix, and a @ e_0 is
+    # exact, so the first Arnoldi step leaves nothing: the Krylov space
+    # is invariant and the answer exact, even with rtol = 0.
+    rng = np.random.default_rng(5)
+    a = np.triu(rng.uniform(-1.0, 1.0, (6, 6))) + 4.0 * np.eye(6)
+    b = np.zeros(6)
+    b[0] = 3.0
+    x, steps, estimate = solver._gmres(lambda v: a @ v, b, 0.0, 6)
+    assert steps == 1
+    assert estimate == 0.0
+    np.testing.assert_array_equal(x, np.linalg.solve(a, b))
+
+
+def test_gmres_returns_zero_for_a_zero_right_hand_side():
+    x, steps, estimate = solver._gmres(lambda v: v, np.zeros((2, 4, 4)), RTOL, 5)
+    assert steps == 0 and estimate == 0.0
+    assert x.shape == (2, 4, 4) and not np.any(x)
+
+
+def test_newton_directions_meet_the_krylov_tolerance(monkeypatch):
+    # The README problem at M = 64. The Jacobian of the residual, applied
+    # without preconditioning, maps each direction onto the right-hand
+    # side to 10 * gmres_rtol. Its range is the mean-zero fields, so the
+    # target is the mean-zero part of -R: the mean of R is rounding.
+    records = []
+    direction = solver._newton_direction
+
+    def recording(dens, means, coupling, grid, opts, rhs):
+        delta = direction(dens, means, coupling, grid, opts, rhs)
+        records.append((dens, means, coupling, grid, rhs, delta))
+        return delta
+
+    monkeypatch.setattr(solver, "_newton_direction", recording)
+    sing = SingularitySet((1.0,), positions=((0.5, 0.5),))
+    result = solve_continuation(
+        scalar_problem(4.0 * math.pi, sing), WeightSpec.uniform(1, sing), TorusGrid(64)
+    )
+    assert sum(step.newton_iterations for step in result.steps) == len(records) == 23
+    for dens, means, coupling, grid, rhs, delta in records:
+        weighted = dens * delta
+        inner = weighted.mean(axis=(1, 2))
+        term = weighted / means[:, None, None] - dens * (inner / means**2)[:, None, None]
+        jdelta = np.einsum("ij,jxy->ixy", coupling, term) + grid.laplacian(delta)
+        b = rhs - rhs.mean(axis=(1, 2))[:, None, None]
+        assert np.linalg.norm(jdelta - b) <= 10.0 * RTOL * np.linalg.norm(b)
 
 
 # -------------------------------------------------------------- the solver
