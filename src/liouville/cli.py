@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -83,7 +84,14 @@ def main(argv: list[str] | None = None) -> int:
     except (LiouvilleError, ValueError, OSError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 1
-    _emit(payload, args.json)
+    try:
+        _emit(payload, args.json)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # Point stdout at devnull so the flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error[BrokenPipeError]: {exc}", file=sys.stderr)
+        return 1
     return code
 
 
@@ -274,13 +282,7 @@ def _cmd_verify(cfg: InstanceConfig, args) -> tuple[dict, int]:
             f"dump has {values.shape[0]} components, config expects "
             f"{cfg.matrix.n}",
         )
-    resolution = _first_set(args.resolution, int(values.shape[1]))
-    instance, weights, grid = _solver_pieces(cfg, resolution)
-    if values.shape[1] != grid.resolution:
-        raise ConfigError(
-            "--resolution",
-            f"dump resolution {values.shape[1]} does not match {grid.resolution}",
-        )
+    instance, weights, grid = _solver_pieces(cfg, int(values.shape[1]))
     report = verify_solution(FieldSet(values), instance, weights, grid)
     return {
         "residual_l2": [float(x) for x in report.residual_l2],
@@ -300,7 +302,7 @@ COMMANDS = {
     "degree": (_cmd_degree, ("--cap", "--tol-merge", "--tol-critical")),
     "pohozaev": (_cmd_pohozaev, ()),
     "solve": (_cmd_solve, ("--resolution", "--out")),
-    "verify": (_cmd_verify, ("--resolution", "--field")),
+    "verify": (_cmd_verify, ("--field",)),
 }
 
 

@@ -131,11 +131,11 @@ def irreducible(a) -> bool:
     return len(_component_of_zero(m.entries)) == m.n
 
 
-def check_h1(a, tol: float = DEFAULT_TOL) -> ConditionReport:
+def check_h1(a) -> ConditionReport:
     """Standard hypothesis: symmetric, nonnegative, irreducible, invertible.
 
-    Failures are reported, never raised; a singular matrix shows up as an
-    ``invertible`` violation.
+    Symmetry and signs hold up to ``DEFAULT_TOL``. Failures are reported,
+    never raised; a singular matrix shows up as an ``invertible`` violation.
     """
     m = as_interaction_matrix(a)
     entries = m.entries
@@ -144,11 +144,11 @@ def check_h1(a, tol: float = DEFAULT_TOL) -> ConditionReport:
     for i in range(n):
         for j in range(i + 1, n):
             gap = entries[i, j] - entries[j, i]
-            if abs(gap) > tol:
+            if abs(gap) > DEFAULT_TOL:
                 violations.append(Violation("symmetric", (i, j), float(gap)))
     for i in range(n):
         for j in range(n):
-            if entries[i, j] < -tol:
+            if entries[i, j] < -DEFAULT_TOL:
                 violations.append(
                     Violation("nonnegative", (i, j), float(entries[i, j]))
                 )
@@ -164,13 +164,13 @@ def check_h1(a, tol: float = DEFAULT_TOL) -> ConditionReport:
     return ConditionReport(tuple(violations))
 
 
-def check_h2(a, tol: float = DEFAULT_TOL) -> ConditionReport:
+def check_h2(a) -> ConditionReport:
     """Strong-interaction hypothesis on the inverse entries a^{ij}.
 
     Requires a^{ii} <= 0, a^{ij} >= 0 for i != j, and nonnegative row
-    sums, all up to ``tol``. Vacuous for n = 1: with a single component
-    there is no interaction to constrain, and the literal sign conditions
-    would force a^{11} = 0 against invertibility.
+    sums, all up to ``DEFAULT_TOL``. Vacuous for n = 1: with a single
+    component there is no interaction to constrain, and the literal sign
+    conditions would force a^{11} = 0 against invertibility.
 
     Raises
     ------
@@ -184,17 +184,17 @@ def check_h2(a, tol: float = DEFAULT_TOL) -> ConditionReport:
         return ConditionReport(())
     violations: list[Violation] = []
     for i in range(n):
-        if inv[i, i] > tol:
+        if inv[i, i] > DEFAULT_TOL:
             violations.append(Violation("inverse-diagonal", (i, i), float(inv[i, i])))
     for i in range(n):
         for j in range(n):
-            if i != j and inv[i, j] < -tol:
+            if i != j and inv[i, j] < -DEFAULT_TOL:
                 violations.append(
                     Violation("inverse-offdiagonal", (i, j), float(inv[i, j]))
                 )
     row_sums = inv.sum(axis=1)
     for i in range(n):
-        if row_sums[i] < -tol:
+        if row_sums[i] < -DEFAULT_TOL:
             violations.append(Violation("inverse-row-sum", (i,), float(row_sums[i])))
     return ConditionReport(tuple(violations))
 

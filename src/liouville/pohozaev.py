@@ -107,16 +107,14 @@ def energy_scaling_between_points(sigma_p: MassVector, mu_q: float) -> MassVecto
     return MassVector((mu_q / sigma_p.mu) * sigma_p.sigma, mu_q)
 
 
-def nonsimple_blowup_admissible(
-    gamma: float, tol: float = DEFAULT_INTEGER_TOL
-) -> bool:
-    """Whether non-simple blowup is possible at strength gamma: only
-    when mu = 1 + gamma is a positive integer (within ``tol``)."""
+def nonsimple_blowup_admissible(gamma: float) -> bool:
+    """Whether non-simple blowup is possible at strength gamma: only when
+    mu = 1 + gamma is within ``DEFAULT_INTEGER_TOL`` of a positive integer."""
     if not (gamma > -1.0):
         raise ValueError(f"gamma = {gamma!r} must exceed -1")
     mu = 1.0 + gamma
     nearest = round(mu)
-    return nearest >= 1 and abs(mu - nearest) <= tol
+    return nearest >= 1 and abs(mu - nearest) <= DEFAULT_INTEGER_TOL
 
 
 def local_mass_split(rho, mus) -> NDArray[np.float64]:

@@ -29,7 +29,7 @@ from .errors import (
     StepFailure,
     ZeroMassDensity,
 )
-from .spectrum import SingularitySet, enumerate_spectrum
+from .spectrum import SingularitySet
 
 __all__ = [
     "TorusGrid",
@@ -58,6 +58,14 @@ DEFAULT_RESOLUTION = 64
 MAX_RESOLUTION = 1024
 MAX_STEPS = 10_000
 
+# Fixed numerics of the continuation. They are read at call time, so a
+# test can patch them on this module.
+T_START = 0.1  # the first stage solves at T_START * rho
+MAX_NEWTON = 40  # Newton iterations per stage
+GMRES_RTOL = 1e-10  # true relative residual of each Newton direction
+MAX_KRYLOV = 200  # Arnoldi steps per direction; the basis holds one more
+DAMPING_FLOOR = 1e-6  # smallest backtracking step before StepFailure
+
 
 class TorusGrid:
     """Uniform M x M grid on the unit flat torus with spectral calculus.
@@ -81,7 +89,7 @@ class TorusGrid:
         axis = np.arange(m) / m
         self.x, self.y = np.meshgrid(axis, axis, indexing="ij")
         k = np.rint(np.fft.fftfreq(m, d=1.0 / m)).astype(np.int64)
-        self.kx, self.ky = np.meshgrid(k, k, indexing="ij")
+        self.wavenumbers = k
         # Symbol of the Laplacian on the half spectrum: -4 pi^2 |k|^2.
         kx = k.astype(np.float64)[:, None]
         ky = np.arange(m // 2 + 1, dtype=np.float64)[None, :]
@@ -95,7 +103,7 @@ class TorusGrid:
         count = np.full(m // 2 + 1, 2.0)
         count[[0, -1]] = 1.0
         self._gradient_weight = -self._symbol * count / float(m) ** 4
-        for arr in (self.x, self.y, self.kx, self.ky, self._symbol, inv,
+        for arr in (self.x, self.y, k, self._symbol, inv,
                     self._gradient_weight):
             arr.setflags(write=False)
 
@@ -199,7 +207,8 @@ def green_function(grid: TorusGrid, q: tuple[float, float]) -> FloatGrid:
     kernel even in x - q, hence symmetric in its arguments.
     """
     m2 = float(grid.resolution) ** 2
-    k2 = (grid.kx**2 + grid.ky**2).astype(np.float64)
+    k = grid.wavenumbers
+    k2 = (k[:, None] ** 2 + k[None, :] ** 2).astype(np.float64)
     inv = np.divide(
         1.0, 4.0 * math.pi**2 * k2, out=np.zeros_like(k2), where=k2 != 0.0
     )
@@ -217,7 +226,8 @@ def band_limited_source(grid: TorusGrid, q: tuple[float, float]) -> FloatGrid:
 def _phase(grid: TorusGrid, q: tuple[float, float]) -> np.ndarray:
     """Mode factors exp(-2 pi i k.q) of a unit point mass at q."""
     qx, qy = float(q[0]) % 1.0, float(q[1]) % 1.0
-    return np.exp(-2j * math.pi * (grid.kx * qx + grid.ky * qy))
+    k = grid.wavenumbers
+    return np.exp(-2j * math.pi * (k[:, None] * qx + k[None, :] * qy))
 
 
 def singular_weight(grid: TorusGrid, p: tuple[float, float]) -> FloatGrid:
@@ -392,26 +402,12 @@ def functional_gradient(
 class SolverOptions:
     tol: float = 1e-8
     steps: int = 10
-    t_start: float = 0.1
-    max_newton: int = 40
-    gmres_rtol: float = 1e-10
-    max_krylov: int = 200
-    damping_floor: float = 1e-6
 
     def __post_init__(self) -> None:
-        for name in ("tol", "gmres_rtol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} = {value!r} must be finite and > 0")
-        if not (0 < self.t_start <= 1):
-            raise ValueError(f"t_start = {self.t_start!r} must lie in (0, 1]")
-        if not (0 < self.damping_floor < 1):
-            raise ValueError(
-                f"damping_floor = {self.damping_floor!r} must lie in (0, 1)"
-            )
-        for name, least in (("steps", 1), ("max_newton", 0), ("max_krylov", 1)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be at least {least}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol = {self.tol!r} must be finite and > 0")
+        if self.steps < 1:
+            raise ValueError("steps must be at least 1")
         if self.steps > MAX_STEPS:
             raise ValueError(f"steps must be at most {MAX_STEPS}")
 
@@ -435,9 +431,9 @@ def solve_continuation(
     p: ProblemInstance,
     w: WeightSpec,
     grid: TorusGrid,
-    opts: SolverOptions | None = None,
+    opts: SolverOptions = SolverOptions(),
 ) -> SolveResult:
-    """Path-follow the mass from t_start * rho up to rho, solving each
+    """Path-follow the mass from T_START * rho up to rho, solving each
     stage with damped Newton started from the previous solution.
 
     Raises
@@ -451,14 +447,13 @@ def solve_continuation(
         If backtracking hits the damping floor without reducing the
         residual.
     """
-    if opts is None:
-        opts = SolverOptions()
     if w.n != p.matrix.n:
         raise ValueError(
             f"{w.n} weight factors for a {p.matrix.n}-component system"
         )
     q = normalized_energy(p.rho, p.matrix)
-    n1 = enumerate_spectrum(p.singularities, cap=2.0).levels[0]
+    # The lowest candidate level: one regular blow-up point or one source.
+    n1 = min((1.0, *p.singularities.mus))
     if q >= n1:
         raise ValueError(
             f"normalized energy q = {q!r} is not strictly below the first "
@@ -472,11 +467,11 @@ def solve_continuation(
     schedule = (
         np.array([1.0])
         if opts.steps == 1
-        else np.linspace(opts.t_start, 1.0, opts.steps)
+        else np.linspace(T_START, 1.0, opts.steps)
     )
     for t in schedule:
         coupling = p.matrix.entries * (t * rho)[None, :]
-        u, step_diag = _newton_stage(u, float(t), coupling, h, grid, opts)
+        u, step_diag = _newton_stage(u, float(t), coupling, h, grid, opts.tol)
         diagnostics.append(step_diag)
     final_norm = diagnostics[-1].residual_history[-1]
     return SolveResult(FieldSet(u), tuple(diagnostics), final_norm)
@@ -504,22 +499,22 @@ def _newton_stage(
     coupling: FloatGrid,
     h: FloatGrid,
     grid: TorusGrid,
-    opts: SolverOptions,
+    tol: float,
 ) -> tuple[FloatGrid, StepDiagnostics]:
     r, rnorm, dens, means = _evaluate(u, coupling, h, grid)
     history = [rnorm]
-    while not rnorm <= opts.tol:  # a NaN residual has not converged either
-        if len(history) > opts.max_newton:
+    while not rnorm <= tol:  # a NaN residual has not converged either
+        if len(history) > MAX_NEWTON:
             raise NoConvergence(
                 f"stage t = {t:g} still at residual {rnorm:.3e} after "
-                f"{opts.max_newton} Newton iterations",
+                f"{MAX_NEWTON} Newton iterations",
                 rnorm,
             )
-        delta = _newton_direction(dens, means, coupling, grid, opts, -r)
+        delta = _newton_direction(dens, means, coupling, grid, -r)
         # Backtrack: halve the step until the residual decreases; the
         # accepted trial and its evaluation become the next iterate.
         lam = 1.0
-        while lam >= opts.damping_floor:
+        while lam >= DAMPING_FLOOR:
             trial = u + lam * delta
             trial -= trial.mean(axis=(1, 2))[:, None, None]
             evaluated = _evaluate(trial, coupling, h, grid)
@@ -529,7 +524,7 @@ def _newton_stage(
         else:
             raise StepFailure(
                 f"stage t = {t:g}: no residual decrease above the damping "
-                f"floor {opts.damping_floor:g} (residual {rnorm:.3e})"
+                f"floor {DAMPING_FLOOR:g} (residual {rnorm:.3e})"
             )
         u = trial
         r, rnorm, dens, means = evaluated
@@ -544,7 +539,6 @@ def _newton_direction(
     means: FloatGrid,
     coupling: FloatGrid,
     grid: TorusGrid,
-    opts: SolverOptions,
     rhs: FloatGrid,
 ) -> FloatGrid:
     """Newton step delta with J delta = rhs, right-preconditioned in
@@ -562,7 +556,7 @@ def _newton_direction(
         )
         return w + np.einsum("ij,jxy->ixy", coupling, term)
 
-    w, _, _ = _gmres(operator, rhs, opts.gmres_rtol, opts.max_krylov)
+    w, _, _ = _gmres(operator, rhs, GMRES_RTOL, MAX_KRYLOV)
     # An inexact direction is acceptable: backtracking rejects bad steps.
     return grid.inverse_laplacian(w)
 

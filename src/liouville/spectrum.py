@@ -104,7 +104,6 @@ def enumerate_spectrum(
     singularities: SingularitySet,
     cap: float,
     merge_tol: float = DEFAULT_MERGE_TOL,
-    limit: int = DEFAULT_LEVEL_LIMIT,
 ) -> CriticalSpectrum:
     """All normalized critical levels up to ``cap``.
 
@@ -115,9 +114,11 @@ def enumerate_spectrum(
     Raises
     ------
     TooManyLevels
-        If the candidate count (ceil(cap)+1) * 2^N exceeds ``limit``.
+        If (ceil(cap)+1) * 2^N candidates exceed ``DEFAULT_LEVEL_LIMIT``.
     """
-    levels, _ = _levels_and_coefficients(singularities, cap, merge_tol, limit)
+    levels, _ = _levels_and_coefficients(
+        singularities, cap, merge_tol, DEFAULT_LEVEL_LIMIT
+    )
     return CriticalSpectrum(levels, float(cap), float(merge_tol))
 
 

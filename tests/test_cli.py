@@ -472,15 +472,6 @@ def test_verify_rejects_component_mismatch(tmp_path, capsys):
     assert "1 components" in err
 
 
-def test_verify_rejects_resolution_mismatch(tmp_path, capsys):
-    cfg = singular_solve_config(tmp_path)
-    dump = str(tmp_path / "f.bin")
-    assert main(["solve", cfg, "--out", dump]) == 0
-    capsys.readouterr()
-    assert main(["verify", cfg, "--field", dump, "--resolution", "64"]) == 1
-    assert "does not match" in capsys.readouterr().err
-
-
 def test_solve_requires_a_flat_surface(tmp_path, capsys):
     cfg = singular_solve_config(tmp_path, surface={"type": "closed", "genus": 0})
     assert main(["solve", cfg]) == 1
@@ -746,7 +737,7 @@ FLAGS = {
     "degree": {"--json", "--cap", "--tol-merge", "--tol-critical"},
     "pohozaev": {"--json"},
     "solve": {"--json", "--resolution", "--out"},
-    "verify": {"--json", "--resolution", "--field"},
+    "verify": {"--json", "--field"},
 }
 
 
@@ -757,7 +748,7 @@ def test_each_subcommand_offers_only_the_flags_it_reads(capsys):
         assert info.value.code == 0
         listed = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M)
         assert set(listed) == expected, command
-    assert sum(len(flags) for flags in FLAGS.values()) == 18
+    assert sum(len(flags) for flags in FLAGS.values()) == 17
 
 
 @pytest.mark.parametrize(
@@ -790,7 +781,7 @@ def test_importing_the_cli_does_not_load_scipy():
     assert out.strip() == "False"
 
 
-def fresh_python(code, *argv):
+def fresh_python(code, *argv, stdout=subprocess.PIPE):
     """Run code in a new interpreter that imports liouville from this tree."""
     import liouville
 
@@ -802,10 +793,32 @@ def fresh_python(code, *argv):
     return subprocess.run(
         [sys.executable, "-c", code, *argv],
         env=env,
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         timeout=120,
     )
+
+
+def test_a_closed_stdout_gives_one_error_line():
+    # The read end is closed before the child starts, so its first write
+    # to stdout fails, as it does under `| head -n 1` once head has left.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = fresh_python(
+            "import sys; from liouville.cli import main; sys.exit(main(sys.argv[1:]))",
+            "spectrum",
+            str(DATA / "readme_degree.json"),
+            "--json",
+            stdout=write,
+        )
+    finally:
+        os.close(write)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error[BrokenPipeError]: ")
 
 
 def test_solve_and_verify_do_not_load_scipy(tmp_path):

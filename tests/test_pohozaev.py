@@ -292,8 +292,8 @@ def test_fractional_weights_force_simple_blowup():
 
 
 def test_admissibility_tolerance_window():
-    assert nonsimple_blowup_admissible(1.0 + 5e-10, tol=1e-9)
-    assert not nonsimple_blowup_admissible(1.0 + 5e-9, tol=1e-9)
+    assert nonsimple_blowup_admissible(1.0 + 5e-10)
+    assert not nonsimple_blowup_admissible(1.0 + 5e-9)
 
 
 # -------------------------------------------------------------- validation

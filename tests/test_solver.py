@@ -30,6 +30,7 @@ from liouville import (
     WeightSpec,
     ZeroMassDensity,
     build_weights,
+    enumerate_spectrum,
     functional_J,
     functional_gradient,
     green_function,
@@ -208,6 +209,33 @@ def test_negative_laplacian_of_green_is_the_projected_source():
     assert np.max(np.abs(-grid.laplacian(g) - src)) <= 1e-9 * np.max(
         np.abs(src)
     )
+
+
+def meshgrid_green_and_source(m: int, q) -> tuple[np.ndarray, np.ndarray]:
+    """green_function and band_limited_source written over full M x M
+    integer wavenumber meshgrids, as the grid once stored them."""
+    k = np.rint(np.fft.fftfreq(m, d=1.0 / m)).astype(np.int64)
+    kx, ky = np.meshgrid(k, k, indexing="ij")
+    qx, qy = float(q[0]) % 1.0, float(q[1]) % 1.0
+    phase = np.exp(-2j * math.pi * (kx * qx + ky * qy))
+    m2 = float(m) ** 2
+    k2 = (kx**2 + ky**2).astype(np.float64)
+    inv = np.divide(
+        1.0, 4.0 * math.pi**2 * k2, out=np.zeros_like(k2), where=k2 != 0.0
+    )
+    coeffs = phase * m2
+    coeffs[0, 0] = 0.0
+    return np.real(np.fft.ifft2(phase * inv * m2)), np.real(np.fft.ifft2(coeffs))
+
+
+@pytest.mark.parametrize("m", [8, 16, 64])
+def test_broadcast_wavenumbers_give_the_meshgrid_bytes(m):
+    grid = TorusGrid(m)
+    # On grid, off grid, and outside [0, 1)^2.
+    for q in [(0.0, 0.0), (0.5, 0.25), (0.3, 0.71), (1 / 3, 2 / 7), (-0.2, 1.37)]:
+        green, source = meshgrid_green_and_source(m, q)
+        assert green_function(grid, q).tobytes() == green.tobytes()
+        assert band_limited_source(grid, q).tobytes() == source.tobytes()
 
 
 # ----------------------------------------------------------------- weights
@@ -507,7 +535,7 @@ def test_coupling_matrix_times_gradient_recovers_the_residual():
 
 # ------------------------------------------------------------------ GMRES
 
-RTOL = SolverOptions().gmres_rtol
+RTOL = solver.GMRES_RTOL
 gmres_settings = settings(
     max_examples=100, deadline=None, derandomize=True, database=None
 )
@@ -574,13 +602,13 @@ def test_gmres_returns_zero_for_a_zero_right_hand_side():
 def test_newton_directions_meet_the_krylov_tolerance(monkeypatch):
     # The README problem at M = 64. The Jacobian of the residual, applied
     # without preconditioning, maps each direction onto the right-hand
-    # side to 10 * gmres_rtol. Its range is the mean-zero fields, so the
+    # side to 10 * GMRES_RTOL. Its range is the mean-zero fields, so the
     # target is the mean-zero part of -R: the mean of R is rounding.
     records = []
     direction = solver._newton_direction
 
-    def recording(dens, means, coupling, grid, opts, rhs):
-        delta = direction(dens, means, coupling, grid, opts, rhs)
+    def recording(dens, means, coupling, grid, rhs):
+        delta = direction(dens, means, coupling, grid, rhs)
         records.append((dens, means, coupling, grid, rhs, delta))
         return delta
 
@@ -722,6 +750,35 @@ def test_solver_rejects_supercritical_mass():
         solve_continuation(p, WeightSpec.uniform(1), TorusGrid(16))
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    gammas=st.lists(
+        st.floats(-1.0, 3.0, exclude_min=True, allow_nan=False), max_size=12
+    )
+)
+def test_first_critical_level_is_the_lowest_enumerated_level(gammas):
+    # q = 4 lies above every n_1, so the solver names its n_1 and stops
+    # before it builds any weight.
+    s = SingularitySet(tuple(gammas))
+    n1 = enumerate_spectrum(s, cap=2.0).levels[0]
+    with pytest.raises(ValueError, match="first critical level") as info:
+        solve_continuation(
+            scalar_problem(32.0 * math.pi, s), WeightSpec.uniform(1, s), TorusGrid(8)
+        )
+    assert f"n_1 = {n1!r};" in str(info.value)
+
+
+def test_nineteen_sources_solve_below_the_first_level():
+    # (ceil(2) + 1) * 2^19 candidates exceed the enumeration's level limit,
+    # which once refused this subcritical problem.
+    positions = tuple(((l + 0.5) / 19, (7 * l % 19 + 0.5) / 19) for l in range(19))
+    s = SingularitySet((0.5,) * 19, positions=positions)
+    result = solve_continuation(
+        scalar_problem(2.0 * math.pi, s), WeightSpec.uniform(1, s), TorusGrid(16)
+    )
+    assert result.residual_norm <= SolverOptions().tol
+
+
 def test_solver_rejects_mismatched_weight_count():
     p = scalar_problem(1.0)
     with pytest.raises(ValueError):
@@ -735,10 +792,11 @@ def sine_weight_problem() -> tuple[ProblemInstance, WeightSpec]:
     return scalar_problem(2.0), WeightSpec((g,), SingularitySet.empty())
 
 
-def test_exhausted_newton_budget_raises():
+def test_exhausted_newton_budget_raises(monkeypatch):
     p, w = sine_weight_problem()
+    monkeypatch.setattr(solver, "MAX_NEWTON", 0)
     with pytest.raises(NoConvergence):
-        solve_continuation(p, w, TorusGrid(32), SolverOptions(max_newton=0))
+        solve_continuation(p, w, TorusGrid(32))
 
 
 def test_unreachable_tolerance_stops_at_the_damping_floor():
@@ -758,7 +816,8 @@ def test_exhausted_budget_carries_the_last_residual(monkeypatch):
         return norms[-1]
 
     monkeypatch.setattr(solver, "_l2_norm", recording_l2_norm)
-    opts = SolverOptions(tol=1e-30, max_newton=3)
+    monkeypatch.setattr(solver, "MAX_NEWTON", 3)
+    opts = SolverOptions(tol=1e-30)
     with pytest.raises(NoConvergence, match="after 3 Newton iterations") as info:
         solve_continuation(p, w, TorusGrid(32), opts)
     assert info.value.residual == norms[-1]
@@ -797,17 +856,7 @@ def test_single_step_schedule_solves_the_full_problem():
         {"tol": math.inf},
         {"tol": math.nan},
         {"tol": 0.0},
-        {"gmres_rtol": math.inf},
-        {"gmres_rtol": -1e-10},
         {"steps": 0},
-        {"t_start": 0.0},
-        {"t_start": 1.5},
-        {"t_start": math.nan},
-        {"max_newton": -1},
-        {"max_krylov": 0},
-        {"damping_floor": 0.0},
-        {"damping_floor": 1.0},
-        {"damping_floor": math.nan},
         {"steps": MAX_STEPS + 1},
     ],
 )
@@ -817,8 +866,7 @@ def test_solver_options_reject_bad_values(bad):
 
 
 def test_solver_options_accept_the_boundary_values():
-    opts = SolverOptions(steps=1, t_start=1.0, max_newton=0, max_krylov=1)
-    assert opts.t_start == 1.0
+    assert SolverOptions(steps=1).steps == 1
     assert SolverOptions(steps=MAX_STEPS).steps == MAX_STEPS
 
 
