@@ -850,14 +850,17 @@ def test_single_step_schedule_solves_the_full_problem():
     assert result.residual_norm <= 1e-8
 
 
+# Explicit ids keep each case's name fixed when cases are added or dropped.
 @pytest.mark.parametrize(
     "bad",
     [
-        {"tol": math.inf},
-        {"tol": math.nan},
-        {"tol": 0.0},
-        {"steps": 0},
-        {"steps": MAX_STEPS + 1},
+        pytest.param({"tol": math.inf}, id="bad0"),
+        pytest.param({"tol": math.nan}, id="bad1"),
+        pytest.param({"tol": 0.0}, id="bad2"),
+        pytest.param({"tol": -1.0}, id="bad3"),
+        pytest.param({"steps": -1}, id="bad4"),
+        pytest.param({"steps": 0}, id="bad5"),
+        pytest.param({"steps": MAX_STEPS + 1}, id="bad14"),
     ],
 )
 def test_solver_options_reject_bad_values(bad):
