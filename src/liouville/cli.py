@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -135,13 +136,14 @@ def _first_set(*choices):
 
 
 def _report_payload(report: ConditionReport) -> dict:
+    # JSON has no inf or NaN, so a value out of range is written as null.
     return {
         "holds": report.holds,
         "violations": [
             {
                 "condition": v.condition,
                 "indices": list(v.indices),
-                "value": float(v.value),
+                "value": float(v.value) if math.isfinite(v.value) else None,
             }
             for v in report.violations
         ],

@@ -262,8 +262,11 @@ def _parse_cap(raw: dict, key: str) -> float | None:
         return None
     _require_number(caps[key], f"caps.{key}")
     value = float(caps[key])
-    if value <= 0:
-        raise ConfigError(f"caps.{key}", "must be positive")
+    # A critical tolerance of 0 counts only exact hits; a cap must be positive.
+    if key == "exponent_cap" and value <= 0:
+        raise ConfigError("caps.exponent_cap", "must be positive")
+    if value < 0:
+        raise ConfigError("caps.tolerance", "must be nonnegative")
     return value
 
 

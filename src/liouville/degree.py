@@ -21,18 +21,18 @@ from .errors import (
     HypothesisViolation,
     NegativeMassWarning,
     NegativeRho,
+    NumericOverflow,
     OutOfRange,
     PreconditionFailed,
     ZeroMass,
 )
 from .matrix import InteractionMatrix, as_interaction_matrix, check_h1, check_h2
+from .series import build_generating_function
 from .spectrum import (
     DEFAULT_CRITICAL_TOL,
-    DEFAULT_LEVEL_LIMIT,
     DEFAULT_MERGE_TOL,
     CriticalSpectrum,
     SingularitySet,
-    _levels_and_coefficients,
     locate_region,
 )
 
@@ -60,8 +60,6 @@ _INTEGER_TOL = 1e-9
 class SurfaceSpec:
     """Topology of the underlying space, reduced to its Euler characteristic."""
 
-    kind: str
-    parameter: int
     chi: int
 
     @classmethod
@@ -69,19 +67,18 @@ class SurfaceSpec:
         genus = int(genus)
         if genus < 0:
             raise ValueError("genus must be nonnegative")
-        return cls("closed-surface", genus, 2 - 2 * genus)
+        return cls(2 - 2 * genus)
 
     @classmethod
     def planar_domain(cls, holes: int) -> "SurfaceSpec":
         holes = int(holes)
         if holes < 0:
             raise ValueError("holes must be nonnegative")
-        return cls("planar-domain", holes, 1 - holes)
+        return cls(1 - holes)
 
     @classmethod
     def from_chi(cls, chi: int) -> "SurfaceSpec":
-        # Raw override: the counting machinery only ever consumes chi.
-        return cls("custom", 0, int(chi))
+        return cls(int(chi))
 
     @classmethod
     def torus(cls) -> "SurfaceSpec":
@@ -142,6 +139,8 @@ def normalized_energy(rho, a) -> float:
         If some rho_i < 0.
     ZeroMass
         If sum(rho) <= 0.
+    NumericOverflow
+        If the energy or the total mass leaves the double range.
     """
     m = as_interaction_matrix(a)
     rho = np.asarray(rho, dtype=np.float64)
@@ -150,11 +149,18 @@ def normalized_energy(rho, a) -> float:
     if np.any(rho < 0.0):
         i = int(np.argmin(rho))
         raise NegativeRho(f"rho[{i}] = {rho[i]!r} is negative")
-    total = float(rho.sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(rho.sum())
+        quad = float(rho @ m.entries @ rho)
     if total <= 0.0:
         raise ZeroMass("total mass sum(rho) must be positive")
-    quad = float(rho @ m.entries @ rho)
-    return quad / (8.0 * math.pi * total)
+    scale = 8.0 * math.pi * total
+    if not (math.isfinite(quad) and math.isfinite(scale)):
+        raise NumericOverflow(
+            f"rho^T A rho = {quad!r} over 8 pi sum(rho) = {scale!r} "
+            f"leaves the double range"
+        )
+    return quad / scale
 
 
 def leray_schauder_degree(
@@ -178,18 +184,15 @@ def leray_schauder_degree(
     """
     _require_hypotheses(p.matrix)
     q = normalized_energy(p.rho, p.matrix)
-    if q > cap:
+    # An invalid cap is left to the enumeration to report.
+    if 0.0 < cap < q:
         raise OutOfRange(f"normalized energy {q!r} exceeds the cap {cap!r}")
-    levels, coefficients = _levels_and_coefficients(
-        p.singularities,
-        cap,
-        merge_tol,
-        DEFAULT_LEVEL_LIMIT,
-        exponent=p.surface.chi - p.singularities.count,
+    series = build_generating_function(
+        p.surface.chi, p.singularities, cap, merge_tol
     )
-    spectrum = CriticalSpectrum(levels, float(cap), float(merge_tol))
+    spectrum = CriticalSpectrum(series.levels)
     k = locate_region(q, spectrum, tol)
-    partial = (1,) + coefficients[:k]
+    partial = (1,) + series.coefficients[:k]
     return DegreeResult(
         degree=int(sum(partial)),
         region_k=k,

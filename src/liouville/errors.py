@@ -47,6 +47,10 @@ class CoefficientOverflow(LiouvilleError):
     """Series coefficient left the signed 64-bit range."""
 
 
+class NumericOverflow(LiouvilleError):
+    """A computed quantity left the double range (inf, or NaN from inf - inf)."""
+
+
 class ZeroMass(LiouvilleError):
     """Total mass sum(rho) is not positive."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DegenerateDirection, ZeroMass
+from .errors import DegenerateDirection, NumericOverflow, ZeroMass
 from .matrix import ConditionReport, Violation, as_interaction_matrix
 
 __all__ = [
@@ -55,10 +55,23 @@ class MassVector:
 
 def pohozaev_residual(a, masses: MassVector) -> float:
     """sum_ij a_ij sigma_i sigma_j - 4 mu sum_i sigma_i, zero on the
-    hypersurface."""
+    hypersurface.
+
+    Raises
+    ------
+    NumericOverflow
+        If the residual leaves the double range.
+    """
     m = as_interaction_matrix(a)
     s = masses.sigma
-    return float(s @ m.entries @ s - 4.0 * masses.mu * s.sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(s @ m.entries @ s - 4.0 * masses.mu * s.sum())
+    if not math.isfinite(value):
+        raise NumericOverflow(
+            f"the Pohozaev residual is {value!r}: sigma^T A sigma or "
+            f"4 mu sum(sigma) leaves the double range"
+        )
+    return value
 
 
 def solve_mass_on_hypersurface(a, mu: float, direction) -> MassVector:
@@ -69,6 +82,8 @@ def solve_mass_on_hypersurface(a, mu: float, direction) -> MassVector:
     ------
     DegenerateDirection
         If the quadratic energy d^T A d is not positive.
+    NumericOverflow
+        If d^T A d or the masses leave the double range.
     """
     m = as_interaction_matrix(a)
     d = np.asarray(direction, dtype=np.float64)
@@ -76,14 +91,27 @@ def solve_mass_on_hypersurface(a, mu: float, direction) -> MassVector:
         raise ValueError(f"direction must be a vector of length {m.n}")
     if np.any(d <= 0.0):
         raise ValueError("direction components must be strictly positive")
-    quad = float(d @ m.entries @ d)
-    if quad <= 0.0:
-        raise DegenerateDirection(
-            f"direction has quadratic energy {quad!r} <= 0, "
-            f"no positive mass scale exists"
+    # The masses do not change when d is scaled. Scaling by a power of
+    # two brings d^T A d into range and, where no intermediate leaves the
+    # normal range, rounds exactly as before, so the masses keep their
+    # bits. A direction whose smallest component would underflow to 0
+    # is left unscaled.
+    scaled = np.ldexp(d, -math.frexp(float(d.max()))[1])
+    if np.all(scaled > 0.0):
+        d = scaled
+    with np.errstate(over="ignore", invalid="ignore"):
+        quad = float(d @ m.entries @ d)
+        if quad <= 0.0:
+            raise DegenerateDirection(
+                f"direction has quadratic energy {quad!r} <= 0, "
+                f"no positive mass scale exists"
+            )
+        sigma = 4.0 * mu * float(d.sum()) / quad * d
+    if not (math.isfinite(quad) and np.all(np.isfinite(sigma))):
+        raise NumericOverflow(
+            "the masses along this direction leave the double range"
         )
-    t = 4.0 * mu * float(d.sum()) / quad
-    return MassVector(t * d, mu)
+    return MassVector(sigma, mu)
 
 
 def minimal_mass_check(a, masses: MassVector) -> ConditionReport:

@@ -33,8 +33,6 @@ class GeneralizedSeries:
 
     levels: tuple[float, ...]
     coefficients: tuple[int, ...]
-    cap: float
-    merge_tol: float
 
     def sorted_terms(self) -> list[tuple[float, int]]:
         """(exponent value, coefficient) pairs in increasing exponent
@@ -63,10 +61,13 @@ def build_generating_function(
     ValueError
         If some 1+gamma_l <= merge_tol: the singular factor would merge
         into the constant term and cancel it.
+    TooManyLevels
+        If (ceil(cap)+1) * 2^N exceeds ``DEFAULT_LEVEL_LIMIT``, as for
+        the spectrum.
     CoefficientOverflow
         If a coefficient leaves the signed 64-bit range.
     """
     levels, coefficients = _levels_and_coefficients(
         singularities, cap, merge_tol, exponent=int(chi) - singularities.count
     )
-    return GeneralizedSeries(levels, coefficients, float(cap), float(merge_tol))
+    return GeneralizedSeries(levels, coefficients)

@@ -26,6 +26,7 @@ from .errors import (
     DensityOverflow,
     NegativeGamma,
     NoConvergence,
+    NumericOverflow,
     StepFailure,
     ZeroMassDensity,
 )
@@ -446,6 +447,9 @@ def solve_continuation(
     StepFailure
         If backtracking hits the damping floor without reducing the
         residual.
+    NumericOverflow
+        If the energy or a stage's starting residual norm leaves the
+        double range.
     """
     if w.n != p.matrix.n:
         raise ValueError(
@@ -502,8 +506,13 @@ def _newton_stage(
     tol: float,
 ) -> tuple[FloatGrid, StepDiagnostics]:
     r, rnorm, dens, means = _evaluate(u, coupling, h, grid)
+    if not math.isfinite(rnorm):
+        raise NumericOverflow(
+            f"stage t = {t:g} starts at residual norm {rnorm!r}; the "
+            f"masses or the coupling are too large for double precision"
+        )
     history = [rnorm]
-    while not rnorm <= tol:  # a NaN residual has not converged either
+    while rnorm > tol:
         if len(history) > MAX_NEWTON:
             raise NoConvergence(
                 f"stage t = {t:g} still at residual {rnorm:.3e} after "

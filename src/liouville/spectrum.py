@@ -90,8 +90,6 @@ class CriticalSpectrum:
     """Strictly increasing normalized levels n_1 < n_2 < ... within (0, cap]."""
 
     levels: tuple[float, ...]
-    cap: float
-    merge_tol: float
 
     def level(self, k: int) -> float:
         """n_k with the convention n_0 = 0."""
@@ -116,17 +114,14 @@ def enumerate_spectrum(
     TooManyLevels
         If (ceil(cap)+1) * 2^N candidates exceed ``DEFAULT_LEVEL_LIMIT``.
     """
-    levels, _ = _levels_and_coefficients(
-        singularities, cap, merge_tol, DEFAULT_LEVEL_LIMIT
-    )
-    return CriticalSpectrum(levels, float(cap), float(merge_tol))
+    levels, _ = _levels_and_coefficients(singularities, cap, merge_tol)
+    return CriticalSpectrum(levels)
 
 
 def _levels_and_coefficients(
     singularities: SingularitySet,
     cap: float,
     merge_tol: float,
-    limit: int | None = None,
     exponent: int | None = None,
 ) -> tuple[tuple[float, ...], tuple[int, ...] | None]:
     """The one enumeration of critical levels, shared by spectrum,
@@ -151,7 +146,7 @@ def _levels_and_coefficients(
         1+gamma_l <= merge_tol: that factor would merge into the
         constant term and cancel it.
     TooManyLevels
-        If a ``limit`` is given and (ceil(cap)+1) * 2^N exceeds it.
+        If (ceil(cap)+1) * 2^N exceeds ``DEFAULT_LEVEL_LIMIT``.
     CoefficientOverflow
         If a coefficient of (1-x)^e or of the product leaves the signed
         64-bit range.
@@ -163,13 +158,12 @@ def _levels_and_coefficients(
             f"merge_tol must be finite and nonnegative, got {merge_tol!r}"
         )
     mus = singularities.mus
-    if limit is not None:
-        candidates = (math.ceil(cap) + 1) * (1 << len(mus))
-        if candidates > limit:
-            raise TooManyLevels(
-                f"{candidates} candidate levels exceed the limit {limit}; "
-                f"reduce cap or the number of sources"
-            )
+    candidates = (math.ceil(cap) + 1) * (1 << len(mus))
+    if candidates > DEFAULT_LEVEL_LIMIT:
+        raise TooManyLevels(
+            f"{candidates} candidate levels exceed the limit "
+            f"{DEFAULT_LEVEL_LIMIT}; reduce cap or the number of sources"
+        )
     top = math.floor(cap)
     if exponent is not None:
         for l, mu in enumerate(mus):

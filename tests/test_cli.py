@@ -694,6 +694,101 @@ def test_bad_merge_tolerance_is_rejected(tmp_path, capsys, command, tol):
     assert_single_error_line(capsys, "ValueError")
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("command", ["spectrum", "series", "degree"])
+def test_invalid_cap_gets_the_same_verdict_everywhere(tmp_path, capsys, command, cap):
+    p = torus_degree_config(tmp_path)
+    assert main([command, p, "--cap", cap]) == 1
+    assert_single_error_line(capsys, "ValueError")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["spectrum", "series", "degree"])
+def test_level_guard_refuses_on_one_line(capsys, command):
+    # (1e9 + 1) * 2^2 candidates: series used to try to build them all.
+    assert main([command, str(DATA / "readme_degree.json"), "--cap", "1e9"]) == 1
+    assert_single_error_line(capsys, "TooManyLevels")
+
+
+def test_zero_critical_tolerance_counts_only_exact_hits(tmp_path, capsys):
+    data = {
+        "matrix": [[1.0]],
+        "surface": TORUS,
+        "rho": [8.0 * math.pi * (1.0 + 1e-12)],
+        "caps": {"tolerance": 0.0},
+    }
+    assert load_config(write_config(tmp_path, data)).critical_tol == 0.0
+    code, payload = run_json(capsys, "degree", write_config(tmp_path, data))
+    assert code == 0 and payload["region"] == 1
+    data["caps"] = {"exponent_cap": 0.0}
+    with pytest.raises(ConfigError, match="caps.exponent_cap: must be positive"):
+        load_config(write_config(tmp_path, data))
+
+
+def reject_constant(name):
+    raise AssertionError(f"{name} in the JSON output")
+
+
+@pytest.mark.filterwarnings("error")
+def test_check_matrix_writes_null_for_an_infinite_condition_number(tmp_path, capsys):
+    p = write_config(tmp_path, {"matrix": [[0]]})
+    assert main(["check-matrix", p, "--json"]) == 2
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+    invertible = {"condition": "invertible", "indices": [], "value": None}
+    assert payload["standard_hypothesis"]["violations"] == [invertible]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        ("pohozaev", {"matrix": [[1e-300]], "sigma": [1.7e308], "mu": 0.5}),
+        ("degree", {"matrix": [[1.0]], "surface": {"chi": 0}, "rho": [1e300]}),
+        (
+            "solve",
+            {
+                "matrix": [[1e10, 1.0], [1.0, -1e10]],
+                "surface": {"chi": 0},
+                "rho": [1e300, 1e300],
+            },
+        ),
+        (
+            "solve",
+            {
+                "matrix": [[0.0, 2.0], [2.0, 0.0]],
+                "surface": {"chi": 0},
+                "singularities": [
+                    {"gamma": 1.0, "position": [0.0, 0.5]},
+                    {"gamma": 1.0, "position": [0.5, 0.0]},
+                ],
+                "rho": [0.01, 1e300],
+                "solver": {"resolution": 16},
+            },
+        ),
+    ],
+    ids=["pohozaev-residual", "degree-energy", "solve-energy", "solve-residual"],
+)
+def test_values_beyond_the_double_range_give_one_error_line(
+    tmp_path, capsys, command, data
+):
+    assert main([command, write_config(tmp_path, data)]) == 1
+    assert_single_error_line(capsys, "NumericOverflow")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e300, 1e-300])
+def test_hypersurface_masses_ignore_the_scale_of_the_direction(tmp_path, capsys, scale):
+    data = {
+        "matrix": EXCHANGE,
+        "sigma": [1.0, 1.0],
+        "mu": 1.0,
+        "direction": [scale, scale],
+    }
+    code, payload = run_json(capsys, "pohozaev", write_config(tmp_path, data))
+    assert code == 0
+    assert payload["hypersurface"]["sigma"] == pytest.approx([4.0, 4.0], rel=1e-15)
+
+
 # -------------------------------------------------------------- interface
 
 

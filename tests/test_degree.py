@@ -1,5 +1,6 @@
 """Degree computation from topology and singularity data."""
 
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -7,18 +8,25 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import liouville.spectrum
 from liouville import (
+    CriticalSpectrum,
+    GeneralizedSeries,
     HypothesisViolation,
     InteractionMatrix,
     NegativeMassWarning,
     NegativeRho,
+    NumericOverflow,
     OnCriticalSurface,
     OutOfRange,
     PreconditionFailed,
     ProblemInstance,
     SingularitySet,
     SurfaceSpec,
+    TooManyLevels,
     ZeroMass,
+    build_generating_function,
+    enumerate_spectrum,
     existence_certificate,
     leray_schauder_degree,
     normalized_energy,
@@ -58,6 +66,17 @@ def test_energy_rejects_bad_masses():
         normalized_energy((1.0, -0.5), EXCHANGE)
     with pytest.raises(ZeroMass):
         normalized_energy((0.0,), [[1.0]])
+
+
+def test_energy_beyond_the_double_range_is_refused():
+    # q = 1e300^2 / (8 pi 1e300) would be finite, but rho^T A rho is not.
+    with pytest.raises(NumericOverflow):
+        normalized_energy((1e300,), [[1.0]])
+    # inf - inf: the quadratic form is NaN, which no comparison rejects.
+    with pytest.raises(NumericOverflow):
+        normalized_energy((1e300, 1e300), [[1e10, 1.0], [1.0, -1e10]])
+    with pytest.raises(NumericOverflow):
+        normalized_energy((1.7e308, 1.7e308), [[0.0, 1e-300], [1e-300, 0.0]])
 
 
 # --------------------------------------------------- leray_schauder_degree
@@ -128,6 +147,70 @@ def test_planar_domain_uses_the_same_formula():
         rho=(12.0 * math.pi,),
     )
     assert leray_schauder_degree(annulus).degree == 3
+
+
+@pytest.mark.parametrize("cap", [0.0, -1.0, math.nan, math.inf])
+def test_invalid_cap_is_reported_as_for_the_spectrum(cap):
+    # q = 1.5 is above 0 and -1, yet the cap itself is what is wrong.
+    with pytest.raises(ValueError, match="cap must be positive and finite"):
+        leray_schauder_degree(scalar_instance(0, (), 1.5), cap=cap)
+    with pytest.raises(ValueError, match="cap must be positive and finite"):
+        enumerate_spectrum(SingularitySet(()), cap)
+
+
+def test_result_types_keep_only_what_is_read():
+    def names(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    assert names(CriticalSpectrum) == ["levels"]
+    assert names(GeneralizedSeries) == ["levels", "coefficients"]
+    assert names(SurfaceSpec) == ["chi"]
+    assert SurfaceSpec.torus() == SurfaceSpec.from_chi(0)
+    assert SurfaceSpec.closed_surface(0) == SurfaceSpec.from_chi(2)
+    assert SurfaceSpec.planar_domain(2) == SurfaceSpec.from_chi(-1)
+
+
+def guard_outcomes(gammas, cap):
+    """'refused' or 'answered' for spectrum, series and degree. With
+    chi = N the factor (1-x)^(chi-N) is 1, so no coefficient overflows."""
+    s = SingularitySet(gammas)
+    chi = len(gammas)
+    p = ProblemInstance(
+        SurfaceSpec.from_chi(chi), s, InteractionMatrix([[1.0]]), (4.0 * math.pi,)
+    )
+    calls = (
+        lambda: enumerate_spectrum(s, cap),
+        lambda: build_generating_function(chi, s, cap),
+        lambda: leray_schauder_degree(p, cap=cap),  # q = 0.5 is below every cap
+    )
+    outcomes = []
+    for call in calls:
+        try:
+            call()
+            outcomes.append("answered")
+        except TooManyLevels:
+            outcomes.append("refused")
+    return outcomes
+
+
+@pytest.mark.parametrize(
+    "sources, cap",
+    [(16, 20.0), (16, 14.0), (16, 14.5), (18, 2.0), (18, 3.0), (19, 0.75),
+     (10, 975.0), (10, 976.0)],
+)
+def test_spectrum_series_and_degree_share_one_guard(sources, cap):
+    # With gamma = 0 the pooled pass is cheap, so only the guard refuses:
+    # (ceil(cap) + 1) * 2^N candidates above the limit.
+    refused = (math.ceil(cap) + 1) * 2**sources > 10**6
+    outcome = "refused" if refused else "answered"
+    assert guard_outcomes((0.0,) * sources, cap) == [outcome] * 3
+
+
+def test_the_guard_reads_the_limit_at_call_time(monkeypatch):
+    monkeypatch.setattr(liouville.spectrum, "DEFAULT_LEVEL_LIMIT", 3 * 2**2 - 1)
+    assert guard_outcomes((0.5, 1.5), 2.0) == ["refused"] * 3
+    monkeypatch.setattr(liouville.spectrum, "DEFAULT_LEVEL_LIMIT", 3 * 2**2)
+    assert guard_outcomes((0.5, 1.5), 2.0) == ["answered"] * 3
 
 
 def test_surface_constructors_resolve_chi():

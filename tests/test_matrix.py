@@ -12,6 +12,7 @@ import pytest
 from liouville import (
     InteractionMatrix,
     SingularMatrix,
+    Violation,
     check_h1,
     check_h2,
     invert,
@@ -93,6 +94,12 @@ def test_h1_flags_asymmetry():
     assert any(v.condition == "symmetric" for v in report.violations)
 
 
+def test_h1_reports_an_asymmetry_beyond_the_double_range(recwarn):
+    report = check_h1([[0.0, 1.7e308], [-1.7e308, 0.0]])
+    assert report.violations[0] == Violation("symmetric", (0, 1), float("inf"))
+    assert len(recwarn) == 0
+
+
 def test_h1_flags_negative_entry():
     report = check_h1([[1.0, -1.0], [-1.0, 1.0]])
     assert any(v.condition == "nonnegative" for v in report.violations)
@@ -108,6 +115,22 @@ def test_h1_scalar_zero_fails_invertibility():
     report = check_h1([[0.0]])
     assert not report.holds
     assert any(v.condition == "invertible" for v in report.violations)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        # Well conditioned, but the inverse is inf.
+        [[0.0, 5e-324], [5e-324, 0.0]],
+        # Well conditioned, but LAPACK finds an exactly zero pivot.
+        [[0.0, 5e-324, 5e-324], [5e-324, 0.0, 5e-324], [5e-324, 5e-324, 0.0]],
+    ],
+)
+def test_subnormal_matrices_fail_invertibility(entries):
+    with pytest.raises(SingularMatrix):
+        InteractionMatrix(entries).inverse()
+    report = check_h1(entries)
+    assert [v.condition for v in report.violations][-1] == "invertible"
 
 
 # -------------------------------------------------------------- irreducible

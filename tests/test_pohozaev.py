@@ -8,6 +8,7 @@ import pytest
 from liouville import (
     DegenerateDirection,
     MassVector,
+    NumericOverflow,
     ZeroMass,
     check_h1,
     critical_surface_from_blowup,
@@ -68,6 +69,54 @@ def test_solution_lands_on_the_surface():
         out = solve_mass_on_hypersurface(a, mu, d)
         resid = pohozaev_residual(a, out)
         assert abs(resid) <= 1e-12 * (4.0 * mu * float(np.sum(out.sigma)))
+
+
+def test_masses_do_not_depend_on_the_scale_of_the_direction():
+    rng = np.random.default_rng(7)
+    a = [[0.5, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.25]]
+    for _ in range(20):
+        d = rng.uniform(0.5, 2.0, size=3)
+        mu = float(rng.uniform(0.2, 4.0))
+        expected = solve_mass_on_hypersurface(a, mu, d).sigma
+        for k in (-900, -600, -300, -1, 1, 300, 600, 900):
+            scaled = solve_mass_on_hypersurface(a, mu, np.ldexp(d, k)).sigma
+            assert scaled.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-300, 1.7e308, 5e-324])
+def test_extreme_directions_give_the_unit_answer(scale):
+    # sigma = 4 mu (sum d) d / (d^T A d) is (4, 4) for every multiple of (1, 1).
+    out = solve_mass_on_hypersurface(EXCHANGE, 1.0, (scale, scale))
+    np.testing.assert_allclose(out.sigma, [4.0, 4.0], rtol=1e-15)
+
+
+def test_a_direction_wider_than_the_double_range_is_solved_unscaled():
+    # Halving (1, 5e-324) would round its second component to 0, and the
+    # cross term that makes d^T A d positive with it.
+    a = [[0.0, 1.7e308], [1.7e308, 0.0]]
+    d = np.array([1.0, 5e-324])
+    t = 4.0 * float(d.sum()) / float(d @ np.array(a) @ d)
+    out = solve_mass_on_hypersurface(a, 1.0, d)
+    assert out.sigma.tobytes() == (t * d).tobytes()
+
+
+def test_masses_beyond_the_double_range_are_refused():
+    # d^T A d overflows even with the largest d_i scaled into [0.5, 1).
+    huge = [[1.7e308, 1.7e308], [1.7e308, 1.7e308]]
+    with pytest.raises(NumericOverflow):
+        solve_mass_on_hypersurface(huge, 1.0, (0.9, 0.9))
+    # sigma = 4 mu / a overflows.
+    with pytest.raises(NumericOverflow):
+        solve_mass_on_hypersurface([[1e-310]], 1.0, (1.0,))
+    # t = 4 mu (sum d) / (d^T A d) = 2e300, so t * 1e300 overflows.
+    with pytest.raises(NumericOverflow):
+        solve_mass_on_hypersurface(EXCHANGE, 1.0, (1e300, 1e-300))
+
+
+def test_residual_beyond_the_double_range_is_refused():
+    # sigma^2 a overflows and so does 4 mu sigma: inf - inf.
+    with pytest.raises(NumericOverflow):
+        pohozaev_residual([[1e-300]], MassVector((1.7e308,), 0.5))
 
 
 def test_direction_must_be_strictly_positive():

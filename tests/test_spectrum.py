@@ -66,7 +66,7 @@ def test_levels_exclude_zero_and_respect_cap():
     spec = enumerate_spectrum(SingularitySet((0.25, 0.75)), cap=4.0)
     assert all(0.0 < level <= 4.0 for level in spec.levels)
     diffs = np.diff(spec.levels)
-    assert np.all(diffs > spec.merge_tol)
+    assert np.all(diffs > 1e-9)
 
 
 # ------------------------------------------------------------------ oracle
