@@ -10,6 +10,7 @@ total, the forced-mass instance has the closed form (1/2) prod (1+gamma_l).
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -140,7 +141,8 @@ def normalized_energy(rho, a) -> float:
     ZeroMass
         If sum(rho) <= 0.
     NumericOverflow
-        If the energy or the total mass leaves the double range.
+        If the energy or the total mass leaves the double range, or q
+        is positive but below the smallest positive double.
     """
     m = as_interaction_matrix(a)
     rho = np.asarray(rho, dtype=np.float64)
@@ -149,18 +151,40 @@ def normalized_energy(rho, a) -> float:
     if np.any(rho < 0.0):
         i = int(np.argmin(rho))
         raise NegativeRho(f"rho[{i}] = {rho[i]!r} is negative")
+    quad, scale = _energy_terms(rho, m)
+    if scale <= 0.0:
+        raise ZeroMass("total mass sum(rho) must be positive")
+    if abs(quad) >= sys.float_info.min:
+        return quad / scale
+    # rho^T A rho is zero or subnormal, so it may have lost its bits to
+    # underflow. q scales like rho, so it is formed on rho scaled by an
+    # exact power of two and scaled back. The scaled rho has entries up
+    # to about 1/sqrt(max |a_ij|), which keeps rho^T A rho near 1.
+    entry = float(np.abs(m.entries).max())
+    shift = -math.frexp(float(rho.max()))[1] - math.frexp(entry)[1] // 2
+    quad, scale = _energy_terms(np.ldexp(rho, shift), m)
+    q = quad / scale
+    unscaled = math.ldexp(q, -shift)
+    if q > 0.0 and unscaled == 0.0:
+        raise NumericOverflow(
+            f"normalized energy {q!r} * 2^{-shift} is below the smallest "
+            f"positive double"
+        )
+    return unscaled
+
+
+def _energy_terms(rho, m: InteractionMatrix) -> tuple[float, float]:
+    """rho^T A rho and 8 pi sum(rho), both finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         total = float(rho.sum())
         quad = float(rho @ m.entries @ rho)
-    if total <= 0.0:
-        raise ZeroMass("total mass sum(rho) must be positive")
     scale = 8.0 * math.pi * total
     if not (math.isfinite(quad) and math.isfinite(scale)):
         raise NumericOverflow(
             f"rho^T A rho = {quad!r} over 8 pi sum(rho) = {scale!r} "
             f"leaves the double range"
         )
-    return quad / scale
+    return quad, scale
 
 
 def leray_schauder_degree(
@@ -170,6 +194,10 @@ def leray_schauder_degree(
     merge_tol: float = DEFAULT_MERGE_TOL,
 ) -> DegreeResult:
     """Degree of the instance in its off-critical region.
+
+    The series is built only up to min(cap, floor(q + merge_tol) + 1),
+    which holds the first level above q, so the cost follows q rather
+    than the cap.
 
     Raises
     ------
@@ -181,12 +209,21 @@ def leray_schauder_degree(
     OutOfRange
         If the normalized energy exceeds the cap or the top enumerated
         level.
+    TooManyLevels
+        If the enumeration up to that cut exceeds the level limit.
     """
     _require_hypotheses(p.matrix)
     q = normalized_energy(p.rho, p.matrix)
     # An invalid cap is left to the enumeration to report.
     if 0.0 < cap < q:
         raise OutOfRange(f"normalized energy {q!r} exceeds the cap {cap!r}")
+    # The integer m = floor(q + merge_tol) + 1 lies more than merge_tol
+    # above q, so its level opens above q and every member of a level at
+    # or below q lies below m: no level past m is read. The chain is
+    # false for an invalid cap or merge_tol, which then reach the
+    # enumeration unchanged to be reported there.
+    if merge_tol >= 0.0 and q + merge_tol < cap < math.inf:
+        cap = min(cap, float(math.floor(q + merge_tol) + 1))
     series = build_generating_function(
         p.surface.chi, p.singularities, cap, merge_tol
     )

@@ -194,14 +194,7 @@ def _levels_and_coefficients(
     kept = np.flatnonzero((flat > 0.0) & (flat <= cap))
     kept = kept[np.argsort(flat[kept])]
     values = flat[kept]
-    # Equal floats always share a level, so only distinct values are walked.
-    distinct = np.flatnonzero(np.diff(values, prepend=-np.inf) > 0.0)
-    starts: list[int] = []
-    anchor = -math.inf
-    for i, v in zip(distinct.tolist(), values[distinct].tolist()):
-        if v - anchor > merge_tol:
-            starts.append(i)
-            anchor = v
+    starts = _level_starts(values, merge_tol)
     levels = tuple(values[starts].tolist())
     if exponent is None:
         return levels, None
@@ -216,6 +209,33 @@ def _levels_and_coefficients(
         for level, c in zip(levels, coefficients):
             _check_int64(c, level)
     return levels, tuple(coefficients)
+
+
+def _level_starts(values: np.ndarray, merge_tol: float) -> np.ndarray:
+    """Indices in the sorted ``values`` where a level opens.
+
+    A value opens a level when it lies more than ``merge_tol`` above
+    the open level's anchor (its first value). Equal floats share a
+    level. A value more than ``merge_tol`` above its predecessor always
+    opens one, since the anchor is at most that predecessor, so only
+    the distinct values within ``merge_tol`` of their predecessor are
+    walked: their anchor is the later of the last such gap and the last
+    level the walk itself opened.
+    """
+    gaps = np.diff(values, prepend=-np.inf)
+    opens = np.flatnonzero(gaps > merge_tol)
+    near = np.flatnonzero((gaps > 0.0) & (gaps <= merge_tol))
+    if near.size == 0:
+        return opens
+    # values[0] opens a level, so every near index has an earlier opener.
+    gap_anchors = opens[np.searchsorted(opens, near) - 1]
+    walked: list[int] = []
+    last = -1
+    for i, a in zip(near.tolist(), gap_anchors.tolist()):
+        if values.item(i) - values.item(max(a, last)) > merge_tol:
+            walked.append(i)
+            last = i
+    return np.sort(np.concatenate((opens, np.array(walked, dtype=opens.dtype))))
 
 
 def _binomial_ladder(e: int, top: int) -> list[int]:

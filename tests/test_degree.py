@@ -79,6 +79,24 @@ def test_energy_beyond_the_double_range_is_refused():
         normalized_energy((1.7e308, 1.7e308), [[0.0, 1e-300], [1e-300, 0.0]])
 
 
+def test_energy_below_the_normal_range_is_recomputed():
+    # rho^T A rho = 1e-600 underflows to 0 and 1e-320 is subnormal; q
+    # itself is a normal double in both cases.
+    for rho in (1e-300, 1e-160):
+        q = normalized_energy((rho,), [[1.0]])
+        assert q == pytest.approx(rho / (8.0 * math.pi), rel=1e-15)
+    # Scaled up to unit size, this rho would overflow rho^T A rho.
+    big = [[1e308, 1e308], [1e308, 1e308]]
+    q = normalized_energy((1e-320, 1e-320), big)
+    exact = Fraction(1e308) * 2 * Fraction(1e-320)
+    assert q == pytest.approx(float(exact) / (8.0 * math.pi), rel=1e-15)
+    with pytest.raises(NumericOverflow, match="smallest positive double"):
+        normalized_energy((5e-324,), [[1.0]])
+    # A true zero stays zero, and a normal energy keeps its bits.
+    assert normalized_energy((1.0, 0.0), EXCHANGE) == 0.0
+    assert normalized_energy((3.0, 5.0), EXCHANGE) == 30.0 / (8.0 * math.pi * 8.0)
+
+
 # --------------------------------------------------- leray_schauder_degree
 
 
@@ -170,18 +188,18 @@ def test_result_types_keep_only_what_is_read():
     assert SurfaceSpec.planar_domain(2) == SurfaceSpec.from_chi(-1)
 
 
-def guard_outcomes(gammas, cap):
+def guard_outcomes(gammas, cap, q=0.5):
     """'refused' or 'answered' for spectrum, series and degree. With
     chi = N the factor (1-x)^(chi-N) is 1, so no coefficient overflows."""
     s = SingularitySet(gammas)
     chi = len(gammas)
     p = ProblemInstance(
-        SurfaceSpec.from_chi(chi), s, InteractionMatrix([[1.0]]), (4.0 * math.pi,)
+        SurfaceSpec.from_chi(chi), s, InteractionMatrix([[1.0]]), (8.0 * math.pi * q,)
     )
     calls = (
         lambda: enumerate_spectrum(s, cap),
         lambda: build_generating_function(chi, s, cap),
-        lambda: leray_schauder_degree(p, cap=cap),  # q = 0.5 is below every cap
+        lambda: leray_schauder_degree(p, cap=cap),
     )
     outcomes = []
     for call in calls:
@@ -193,24 +211,55 @@ def guard_outcomes(gammas, cap):
     return outcomes
 
 
+def guard_verdicts(sources, cap, q=0.5, limit=10**6):
+    """The exact rule: spectrum and series are refused iff
+    (ceil(cap) + 1) * 2^N > limit; the degree iff the same holds at its
+    cut min(cap, floor(q + merge_tol) + 1)."""
+
+    def verdict(c):
+        return "refused" if (math.ceil(c) + 1) * 2**sources > limit else "answered"
+
+    cut = min(cap, math.floor(q + 1e-9) + 1)
+    return [verdict(cap), verdict(cap), verdict(cut)]
+
+
 @pytest.mark.parametrize(
     "sources, cap",
     [(16, 20.0), (16, 14.0), (16, 14.5), (18, 2.0), (18, 3.0), (19, 0.75),
-     (10, 975.0), (10, 976.0)],
+     (10, 975.0), (10, 976.0), (19, 20.0)],
 )
 def test_spectrum_series_and_degree_share_one_guard(sources, cap):
-    # With gamma = 0 the pooled pass is cheap, so only the guard refuses:
-    # (ceil(cap) + 1) * 2^N candidates above the limit.
-    refused = (math.ceil(cap) + 1) * 2**sources > 10**6
-    outcome = "refused" if refused else "answered"
-    assert guard_outcomes((0.0,) * sources, cap) == [outcome] * 3
+    # With gamma = 0 the pooled pass is cheap, so only the guard refuses.
+    # At q = 0.5 the degree's cut is min(cap, 1): it is refused from
+    # N = 19 on ((1 + 1) * 2^19 > 10^6), whatever the cap.
+    expected = guard_verdicts(sources, cap)
+    assert guard_outcomes((0.0,) * sources, cap) == expected
+    if (sources, cap) == (16, 20.0):
+        assert expected == ["refused", "refused", "answered"]
+
+
+@pytest.mark.parametrize(
+    "sources, q, verdict",
+    [(17, 2.5, "answered"), (18, 2.5, "refused"), (18, 0.5, "answered"),
+     (19, 0.5, "refused"), (16, 13.5, "answered"), (16, 14.5, "refused")],
+)
+def test_the_degree_guard_counts_candidates_up_to_its_cut(sources, q, verdict):
+    # At cap 20 the cut floor(q + 1e-9) + 1 moves with q: (3 + 1) * 2^17
+    # candidates are answered and (3 + 1) * 2^18 are refused.
+    assert guard_verdicts(sources, 20.0, q)[2] == verdict
+    assert guard_outcomes((0.0,) * sources, 20.0, q)[2] == verdict
 
 
 def test_the_guard_reads_the_limit_at_call_time(monkeypatch):
-    monkeypatch.setattr(liouville.spectrum, "DEFAULT_LEVEL_LIMIT", 3 * 2**2 - 1)
-    assert guard_outcomes((0.5, 1.5), 2.0) == ["refused"] * 3
-    monkeypatch.setattr(liouville.spectrum, "DEFAULT_LEVEL_LIMIT", 3 * 2**2)
-    assert guard_outcomes((0.5, 1.5), 2.0) == ["answered"] * 3
+    # cap 2 has (2 + 1) * 2^2 = 12 candidates; the degree at q = 0.5
+    # cuts at 1 and has (1 + 1) * 2^2 = 8.
+    for limit in (7, 8, 11, 12):
+        monkeypatch.setattr(liouville.spectrum, "DEFAULT_LEVEL_LIMIT", limit)
+        expected = guard_verdicts(2, 2.0, limit=limit)
+        assert guard_outcomes((0.5, 1.5), 2.0) == expected
+    assert guard_verdicts(2, 2.0, limit=7) == ["refused"] * 3
+    assert guard_verdicts(2, 2.0, limit=11) == ["refused", "refused", "answered"]
+    assert guard_verdicts(2, 2.0, limit=12) == ["answered"] * 3
 
 
 def test_surface_constructors_resolve_chi():
