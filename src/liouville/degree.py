@@ -195,10 +195,6 @@ def leray_schauder_degree(
 ) -> DegreeResult:
     """Degree of the instance in its off-critical region.
 
-    The series is built only up to min(cap, floor(q + merge_tol) + 1),
-    which holds the first level above q, so the cost follows q rather
-    than the cap.
-
     Raises
     ------
     HypothesisViolation
@@ -209,21 +205,12 @@ def leray_schauder_degree(
     OutOfRange
         If the normalized energy exceeds the cap or the top enumerated
         level.
-    TooManyLevels
-        If the enumeration up to that cut exceeds the level limit.
     """
     _require_hypotheses(p.matrix)
     q = normalized_energy(p.rho, p.matrix)
     # An invalid cap is left to the enumeration to report.
     if 0.0 < cap < q:
         raise OutOfRange(f"normalized energy {q!r} exceeds the cap {cap!r}")
-    # The integer m = floor(q + merge_tol) + 1 lies more than merge_tol
-    # above q, so its level opens above q and every member of a level at
-    # or below q lies below m: no level past m is read. The chain is
-    # false for an invalid cap or merge_tol, which then reach the
-    # enumeration unchanged to be reported there.
-    if merge_tol >= 0.0 and q + merge_tol < cap < math.inf:
-        cap = min(cap, float(math.floor(q + merge_tol) + 1))
     series = build_generating_function(
         p.surface.chi, p.singularities, cap, merge_tol
     )

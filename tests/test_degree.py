@@ -188,18 +188,18 @@ def test_result_types_keep_only_what_is_read():
     assert SurfaceSpec.planar_domain(2) == SurfaceSpec.from_chi(-1)
 
 
-def guard_outcomes(gammas, cap, q=0.5):
+def guard_outcomes(gammas, cap):
     """'refused' or 'answered' for spectrum, series and degree. With
     chi = N the factor (1-x)^(chi-N) is 1, so no coefficient overflows."""
     s = SingularitySet(gammas)
     chi = len(gammas)
     p = ProblemInstance(
-        SurfaceSpec.from_chi(chi), s, InteractionMatrix([[1.0]]), (8.0 * math.pi * q,)
+        SurfaceSpec.from_chi(chi), s, InteractionMatrix([[1.0]]), (4.0 * math.pi,)
     )
     calls = (
         lambda: enumerate_spectrum(s, cap),
         lambda: build_generating_function(chi, s, cap),
-        lambda: leray_schauder_degree(p, cap=cap),
+        lambda: leray_schauder_degree(p, cap=cap),  # q = 0.5 is below every cap
     )
     outcomes = []
     for call in calls:
@@ -211,55 +211,24 @@ def guard_outcomes(gammas, cap, q=0.5):
     return outcomes
 
 
-def guard_verdicts(sources, cap, q=0.5, limit=10**6):
-    """The exact rule: spectrum and series are refused iff
-    (ceil(cap) + 1) * 2^N > limit; the degree iff the same holds at its
-    cut min(cap, floor(q + merge_tol) + 1)."""
-
-    def verdict(c):
-        return "refused" if (math.ceil(c) + 1) * 2**sources > limit else "answered"
-
-    cut = min(cap, math.floor(q + 1e-9) + 1)
-    return [verdict(cap), verdict(cap), verdict(cut)]
-
-
 @pytest.mark.parametrize(
     "sources, cap",
     [(16, 20.0), (16, 14.0), (16, 14.5), (18, 2.0), (18, 3.0), (19, 0.75),
-     (10, 975.0), (10, 976.0), (19, 20.0)],
+     (10, 975.0), (10, 976.0)],
 )
 def test_spectrum_series_and_degree_share_one_guard(sources, cap):
-    # With gamma = 0 the pooled pass is cheap, so only the guard refuses.
-    # At q = 0.5 the degree's cut is min(cap, 1): it is refused from
-    # N = 19 on ((1 + 1) * 2^19 > 10^6), whatever the cap.
-    expected = guard_verdicts(sources, cap)
-    assert guard_outcomes((0.0,) * sources, cap) == expected
-    if (sources, cap) == (16, 20.0):
-        assert expected == ["refused", "refused", "answered"]
-
-
-@pytest.mark.parametrize(
-    "sources, q, verdict",
-    [(17, 2.5, "answered"), (18, 2.5, "refused"), (18, 0.5, "answered"),
-     (19, 0.5, "refused"), (16, 13.5, "answered"), (16, 14.5, "refused")],
-)
-def test_the_degree_guard_counts_candidates_up_to_its_cut(sources, q, verdict):
-    # At cap 20 the cut floor(q + 1e-9) + 1 moves with q: (3 + 1) * 2^17
-    # candidates are answered and (3 + 1) * 2^18 are refused.
-    assert guard_verdicts(sources, 20.0, q)[2] == verdict
-    assert guard_outcomes((0.0,) * sources, 20.0, q)[2] == verdict
+    # With gamma = 0 the pooled pass is cheap, so only the guard refuses:
+    # (ceil(cap) + 1) * 2^N candidates above the limit.
+    refused = (math.ceil(cap) + 1) * 2**sources > 10**6
+    outcome = "refused" if refused else "answered"
+    assert guard_outcomes((0.0,) * sources, cap) == [outcome] * 3
 
 
 def test_the_guard_reads_the_limit_at_call_time(monkeypatch):
-    # cap 2 has (2 + 1) * 2^2 = 12 candidates; the degree at q = 0.5
-    # cuts at 1 and has (1 + 1) * 2^2 = 8.
-    for limit in (7, 8, 11, 12):
-        monkeypatch.setattr(liouville.spectrum, "DEFAULT_LEVEL_LIMIT", limit)
-        expected = guard_verdicts(2, 2.0, limit=limit)
-        assert guard_outcomes((0.5, 1.5), 2.0) == expected
-    assert guard_verdicts(2, 2.0, limit=7) == ["refused"] * 3
-    assert guard_verdicts(2, 2.0, limit=11) == ["refused", "refused", "answered"]
-    assert guard_verdicts(2, 2.0, limit=12) == ["answered"] * 3
+    monkeypatch.setattr(liouville.spectrum, "DEFAULT_LEVEL_LIMIT", 3 * 2**2 - 1)
+    assert guard_outcomes((0.5, 1.5), 2.0) == ["refused"] * 3
+    monkeypatch.setattr(liouville.spectrum, "DEFAULT_LEVEL_LIMIT", 3 * 2**2)
+    assert guard_outcomes((0.5, 1.5), 2.0) == ["answered"] * 3
 
 
 def test_surface_constructors_resolve_chi():
