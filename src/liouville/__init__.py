@@ -7,145 +7,23 @@ implements the blow-up mass identities, and numerically solves the
 system on the unit flat torus in the subcritical regime.
 """
 
-from .degree import (
-    DegreeResult,
-    ExistenceCertificate,
-    ProblemInstance,
-    SurfaceSpec,
-    TorusDegree,
-    existence_certificate,
-    leray_schauder_degree,
-    normalized_energy,
-    prescribed_masses,
-    torus_special_degree,
-)
-from .errors import (
-    CoefficientOverflow,
-    ConfigError,
-    DegenerateDirection,
-    DensityOverflow,
-    HypothesisViolation,
-    LiouvilleError,
-    NegativeGamma,
-    NegativeMassWarning,
-    NegativeRho,
-    NoConvergence,
-    NumericOverflow,
-    OnCriticalSurface,
-    OutOfRange,
-    PreconditionFailed,
-    SingularMatrix,
-    StepFailure,
-    TooManyLevels,
-    ZeroMass,
-    ZeroMassDensity,
-)
-from .matrix import (
-    ConditionReport,
-    InteractionMatrix,
-    Violation,
-    check_h1,
-    check_h2,
-    invert,
-    irreducible,
-)
-from .pohozaev import (
-    MassVector,
-    critical_surface_from_blowup,
-    energy_scaling_between_points,
-    local_mass_split,
-    minimal_mass_check,
-    nonsimple_blowup_admissible,
-    pohozaev_residual,
-    solve_mass_on_hypersurface,
-)
-from .series import GeneralizedSeries, build_generating_function
-from .solver import (
-    FieldSet,
-    SolutionReport,
-    SolveResult,
-    SolverOptions,
-    TorusGrid,
-    WeightSpec,
-    build_weights,
-    functional_J,
-    functional_gradient,
-    green_function,
-    residual,
-    solve_continuation,
-    verify_solution,
-)
-from .spectrum import (
-    CriticalSpectrum,
-    SingularitySet,
-    enumerate_spectrum,
-    locate_region,
-)
+# Each star import also binds its submodule here, which __all__ reads.
+from .degree import *
+from .errors import *
+from .matrix import *
+from .pohozaev import *
+from .series import *
+from .solver import *
+from .spectrum import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoefficientOverflow",
-    "ConditionReport",
-    "ConfigError",
-    "CriticalSpectrum",
-    "DegenerateDirection",
-    "DensityOverflow",
-    "DegreeResult",
-    "ExistenceCertificate",
-    "FieldSet",
-    "GeneralizedSeries",
-    "HypothesisViolation",
-    "InteractionMatrix",
-    "LiouvilleError",
-    "MassVector",
-    "NegativeGamma",
-    "NegativeMassWarning",
-    "NegativeRho",
-    "NoConvergence",
-    "NumericOverflow",
-    "OnCriticalSurface",
-    "OutOfRange",
-    "PreconditionFailed",
-    "ProblemInstance",
-    "SingularMatrix",
-    "SingularitySet",
-    "SolutionReport",
-    "SolveResult",
-    "SolverOptions",
-    "StepFailure",
-    "SurfaceSpec",
-    "TooManyLevels",
-    "TorusDegree",
-    "TorusGrid",
-    "Violation",
-    "WeightSpec",
-    "ZeroMass",
-    "ZeroMassDensity",
-    "build_generating_function",
-    "build_weights",
-    "check_h1",
-    "check_h2",
-    "critical_surface_from_blowup",
-    "energy_scaling_between_points",
-    "enumerate_spectrum",
-    "existence_certificate",
-    "functional_J",
-    "functional_gradient",
-    "green_function",
-    "invert",
-    "irreducible",
-    "leray_schauder_degree",
-    "local_mass_split",
-    "locate_region",
-    "minimal_mass_check",
-    "nonsimple_blowup_admissible",
-    "normalized_energy",
-    "pohozaev_residual",
-    "prescribed_masses",
-    "residual",
-    "solve_continuation",
-    "solve_mass_on_hypersurface",
-    "torus_special_degree",
-    "verify_solution",
+    *degree.__all__,
+    *errors.__all__,
+    *matrix.__all__,
+    *pohozaev.__all__,
+    *series.__all__,
+    *solver.__all__,
+    *spectrum.__all__,
 ]

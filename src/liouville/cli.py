@@ -51,6 +51,12 @@ from .spectrum import (
 
 __all__ = ["main", "run"]
 
+_EXIT_CODES = (
+    (HypothesisViolation, 2),
+    (OnCriticalSurface, 3),
+    ((NoConvergence, StepFailure), 4),
+)
+
 _FLAGS = {
     "--cap": dict(type=float, help="spectrum exponent cap"),
     "--tol-merge": dict(
@@ -70,21 +76,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, code = args.handler(load_config(args.config), args)
-    except ConfigError as exc:
-        print(f"error[ConfigError]: {exc}", file=sys.stderr)
-        return 1
-    except HypothesisViolation as exc:
-        print(f"error[HypothesisViolation]: {exc}", file=sys.stderr)
-        return 2
-    except OnCriticalSurface as exc:
-        print(f"error[OnCriticalSurface]: {exc}", file=sys.stderr)
-        return 3
-    except (NoConvergence, StepFailure) as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 4
     except (LiouvilleError, ValueError, OSError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 1
+        return next((c for t, c in _EXIT_CODES if isinstance(exc, t)), 1)
     try:
         _emit(payload, args.json)
         sys.stdout.flush()

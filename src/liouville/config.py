@@ -104,16 +104,15 @@ def load_config(path: str | Path) -> InstanceConfig:
     resolution, solver = _parse_solver(raw)
     return InstanceConfig(
         matrix=matrix,
-        rho=_parse_vector(raw, "rho", n, required=False),
+        rho=_parse_vector(raw, "rho", n),
         surface=_parse_surface(raw),
         singularities=_parse_singularities(raw),
         resolution=resolution,
         solver=solver,
-        exponent_cap=_parse_cap(raw, "exponent_cap"),
-        critical_tol=_parse_cap(raw, "tolerance"),
-        sigma=_parse_vector(raw, "sigma", n, required=False),
+        **_parse_caps(raw),
+        sigma=_parse_vector(raw, "sigma", n),
         mu=_parse_mu(raw),
-        direction=_parse_vector(raw, "direction", n, required=False),
+        direction=_parse_vector(raw, "direction", n),
     )
 
 
@@ -134,12 +133,8 @@ def _parse_matrix(raw: dict) -> InteractionMatrix:
         raise ConfigError("matrix", str(exc)) from exc
 
 
-def _parse_vector(
-    raw: dict, field: str, n: int, required: bool
-) -> np.ndarray | None:
+def _parse_vector(raw: dict, field: str, n: int) -> np.ndarray | None:
     if field not in raw:
-        if required:
-            raise ConfigError(field, "missing required field")
         return None
     items = raw[field]
     if not isinstance(items, list):
@@ -153,6 +148,13 @@ def _parse_vector(
     return np.array(items, dtype=np.float64)
 
 
+# The integer field of each typed surface form, and the constructor it feeds.
+_SURFACE_TYPES = {
+    "closed": ("genus", SurfaceSpec.closed_surface),
+    "domain": ("holes", SurfaceSpec.planar_domain),
+}
+
+
 def _parse_surface(raw: dict) -> SurfaceSpec | None:
     if "surface" not in raw:
         return None
@@ -161,24 +163,19 @@ def _parse_surface(raw: dict) -> SurfaceSpec | None:
         raise ConfigError("surface", "expected an object")
     if "chi" in s:
         _require_int(s["chi"], "surface.chi")
-        extra = set(s) - {"chi"}
-        if extra:
-            raise ConfigError("surface", f"unexpected fields {sorted(extra)}")
-        return SurfaceSpec.from_chi(int(s["chi"]))
+        _require_object(s, "surface", {"chi"})
+        return SurfaceSpec.from_chi(s["chi"])
     kind = s.get("type")
-    if kind == "closed":
-        _require_int(s.get("genus"), "surface.genus")
-        if int(s["genus"]) < 0:
-            raise ConfigError("surface.genus", "must be nonnegative")
-        return SurfaceSpec.closed_surface(int(s["genus"]))
-    if kind == "domain":
-        _require_int(s.get("holes"), "surface.holes")
-        if int(s["holes"]) < 0:
-            raise ConfigError("surface.holes", "must be nonnegative")
-        return SurfaceSpec.planar_domain(int(s["holes"]))
-    raise ConfigError(
-        "surface.type", 'expected "closed" or "domain" (or a raw "chi")'
-    )
+    if not isinstance(kind, str) or kind not in _SURFACE_TYPES:
+        raise ConfigError(
+            "surface.type", 'expected "closed" or "domain" (or a raw "chi")'
+        )
+    field, build = _SURFACE_TYPES[kind]
+    _require_int(s.get(field), f"surface.{field}")
+    if s[field] < 0:
+        raise ConfigError(f"surface.{field}", "must be nonnegative")
+    _require_object(s, "surface", {"type", field})
+    return build(s[field])
 
 
 def _parse_singularities(raw: dict) -> SingularitySet:
@@ -224,11 +221,7 @@ def _parse_solver(raw: dict) -> tuple[int, SolverOptions]:
     if "solver" not in raw:
         return DEFAULT_RESOLUTION, defaults
     s = raw["solver"]
-    if not isinstance(s, dict):
-        raise ConfigError("solver", "expected an object")
-    extra = set(s) - {"resolution", "tol", "steps"}
-    if extra:
-        raise ConfigError("solver", f"unexpected fields {sorted(extra)}")
+    _require_object(s, "solver", {"resolution", "tol", "steps"})
     resolution = s.get("resolution", DEFAULT_RESOLUTION)
     _require_int(resolution, "solver.resolution")
     if not 0 < int(resolution) <= MAX_RESOLUTION or int(resolution) % 2:
@@ -249,15 +242,17 @@ def _parse_solver(raw: dict) -> tuple[int, SolverOptions]:
     return int(resolution), SolverOptions(tol=float(tol), steps=int(steps))
 
 
-def _parse_cap(raw: dict, key: str) -> float | None:
-    if "caps" not in raw:
-        return None
-    caps = raw["caps"]
-    if not isinstance(caps, dict):
-        raise ConfigError("caps", "expected an object")
-    extra = set(caps) - {"exponent_cap", "tolerance"}
-    if extra:
-        raise ConfigError("caps", f"unexpected fields {sorted(extra)}")
+def _parse_caps(raw: dict) -> dict[str, float | None]:
+    """The config's exponent_cap and critical_tol, each None when absent."""
+    caps = raw.get("caps", {})
+    _require_object(caps, "caps", {"exponent_cap", "tolerance"})
+    return {
+        "exponent_cap": _parse_cap(caps, "exponent_cap"),
+        "critical_tol": _parse_cap(caps, "tolerance"),
+    }
+
+
+def _parse_cap(caps: dict, key: str) -> float | None:
     if key not in caps:
         return None
     _require_number(caps[key], f"caps.{key}")
@@ -277,6 +272,14 @@ def _parse_mu(raw: dict):
     if float(raw["mu"]) <= 0:
         raise ConfigError("mu", "must be positive")
     return float(raw["mu"])
+
+
+def _require_object(value, field: str, allowed: set[str]) -> None:
+    if not isinstance(value, dict):
+        raise ConfigError(field, "expected an object")
+    extra = set(value) - allowed
+    if extra:
+        raise ConfigError(field, f"unexpected fields {sorted(extra)}")
 
 
 def _require_number(value, field: str) -> None:

@@ -352,19 +352,23 @@ def _require_hypotheses(m: InteractionMatrix) -> None:
         )
 
 
+def nearest_integer(x: float) -> int | None:
+    """The integer within ``_INTEGER_TOL`` of the finite x, or None."""
+    r = round(x)
+    return r if abs(x - r) <= _INTEGER_TOL else None
+
+
 def _require_positive_integers(gammas: tuple[float, ...]) -> list[int]:
     out: list[int] = []
     for l, g in enumerate(gammas):
-        r = round(g)
-        if abs(g - r) > _INTEGER_TOL or r < 1:
+        r = nearest_integer(g)
+        if r is None or r < 1:
             raise PreconditionFailed(
                 f"gamma[{l}] = {g!r} is not a positive integer"
             )
-        out.append(int(r))
+        out.append(r)
     return out
 
 
 def _all_nonneg_integers(gammas: tuple[float, ...]) -> bool:
-    return all(
-        abs(g - round(g)) <= _INTEGER_TOL and round(g) >= 0 for g in gammas
-    )
+    return all((r := nearest_integer(g)) is not None and r >= 0 for g in gammas)

@@ -2,6 +2,28 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "LiouvilleError",
+    "SingularMatrix",
+    "HypothesisViolation",
+    "TooManyLevels",
+    "OnCriticalSurface",
+    "OutOfRange",
+    "CoefficientOverflow",
+    "NumericOverflow",
+    "ZeroMass",
+    "NegativeRho",
+    "PreconditionFailed",
+    "DegenerateDirection",
+    "ZeroMassDensity",
+    "DensityOverflow",
+    "NegativeGamma",
+    "NoConvergence",
+    "StepFailure",
+    "ConfigError",
+    "NegativeMassWarning",
+]
+
 
 class LiouvilleError(Exception):
     """Base class for all package-specific errors."""

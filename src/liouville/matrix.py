@@ -65,7 +65,8 @@ class InteractionMatrix:
         SingularMatrix
             If the condition number exceeds ``COND_CUTOFF`` or the
             computed inverse fails the max-norm residual bound
-            ``|A A^-1 - I| <= INVERSE_RESIDUAL_FACTOR * |A|``.
+            ``|A A^-1 - I| <= INVERSE_RESIDUAL_FACTOR``, which does not
+            depend on the scale of A.
         """
         if self._inverse is None:
             a = self._entries
@@ -82,10 +83,10 @@ class InteractionMatrix:
             # invert to inf; the residual is then inf or NaN and fails.
             with np.errstate(over="ignore", invalid="ignore"):
                 residual = np.max(np.abs(a @ inv - np.eye(self.n)))
-            bound = INVERSE_RESIDUAL_FACTOR * np.max(np.abs(a))
-            if not residual <= bound:
+            if not residual <= INVERSE_RESIDUAL_FACTOR:
                 raise SingularMatrix(
-                    f"inverse residual {residual:.3e} exceeds bound {bound:.3e}"
+                    f"inverse residual {residual:.3e} exceeds bound "
+                    f"{INVERSE_RESIDUAL_FACTOR:.3e}"
                 )
             inv.setflags(write=False)
             self._inverse = inv

@@ -10,12 +10,14 @@ swept out in rho-space.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DegenerateDirection, NumericOverflow, ZeroMass
+from .degree import nearest_integer, normalized_energy
+from .errors import DegenerateDirection, NumericOverflow
 from .matrix import ConditionReport, Violation, as_interaction_matrix
 
 __all__ = [
@@ -30,8 +32,6 @@ __all__ = [
 ]
 
 FloatVector = NDArray[np.float64]
-
-DEFAULT_INTEGER_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class MassVector:
             raise ValueError("sigma components must be finite and nonnegative")
         sigma.setflags(write=False)
         object.__setattr__(self, "sigma", sigma)
-        if not (self.mu > 0.0) or not math.isfinite(self.mu):
+        if not 0.0 < self.mu <= sys.float_info.max:
             raise ValueError(f"mu = {self.mu!r} must be positive and finite")
 
 
@@ -130,19 +130,18 @@ def minimal_mass_check(a, masses: MassVector) -> ConditionReport:
 
 def energy_scaling_between_points(sigma_p: MassVector, mu_q: float) -> MassVector:
     """Masses seen from a blowup point of weight mu_q: scale by mu_q/mu_p."""
-    if not (mu_q > 0.0):
-        raise ValueError(f"mu_q = {mu_q!r} must be positive")
+    if not 0.0 < mu_q <= sys.float_info.max:
+        raise ValueError(f"mu_q = {mu_q!r} must be positive and finite")
     return MassVector((mu_q / sigma_p.mu) * sigma_p.sigma, mu_q)
 
 
 def nonsimple_blowup_admissible(gamma: float) -> bool:
     """Whether non-simple blowup is possible at strength gamma: only when
-    mu = 1 + gamma is within ``DEFAULT_INTEGER_TOL`` of a positive integer."""
-    if not (gamma > -1.0):
-        raise ValueError(f"gamma = {gamma!r} must exceed -1")
-    mu = 1.0 + gamma
-    nearest = round(mu)
-    return nearest >= 1 and abs(mu - nearest) <= DEFAULT_INTEGER_TOL
+    mu = 1 + gamma is a positive integer, up to ``nearest_integer``."""
+    if not -1.0 < gamma <= sys.float_info.max:
+        raise ValueError(f"gamma = {gamma!r} must be finite and exceed -1")
+    nearest = nearest_integer(1.0 + gamma)
+    return nearest is not None and nearest >= 1
 
 
 def local_mass_split(rho, mus) -> NDArray[np.float64]:
@@ -166,17 +165,14 @@ def critical_surface_from_blowup(a, rho, mus) -> float:
     mu_l: sum_ij a_ij rho_i rho_j - 8 pi (sum_l mu_l) (sum_i rho_i).
 
     Zero exactly when the instance sits at normalized level sum(mus).
+    It is formed as 8 pi (sum_i rho_i) (q - sum_l mu_l) from the
+    normalized energy q.
 
     Raises
     ------
-    ZeroMass
-        If sum(rho) <= 0.
+    NegativeRho, ZeroMass, NumericOverflow
+        As for ``normalized_energy``.
     """
-    m = as_interaction_matrix(a)
-    rho = np.asarray(rho, dtype=np.float64)
-    total = float(rho.sum())
-    if total <= 0.0:
-        raise ZeroMass("total mass sum(rho) must be positive")
-    mus_arr = np.asarray(mus, dtype=np.float64)
-    quad = float(rho @ m.entries @ rho)
-    return quad - 8.0 * math.pi * float(mus_arr.sum()) * total
+    q = normalized_energy(rho, a)
+    scale = 8.0 * math.pi * float(np.sum(rho, dtype=np.float64))
+    return scale * (q - float(np.sum(mus, dtype=np.float64)))

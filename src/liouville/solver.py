@@ -16,6 +16,7 @@ critical energy level, where solutions stay bounded.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,12 +154,15 @@ class FieldSet:
             )
         if not np.all(np.isfinite(values)):
             raise ValueError("field is not finite: it holds NaN or infinite values")
+        # The rounding error of a mean grows with the field's size.
         means = values.mean(axis=(1, 2))
         worst = float(np.max(np.abs(means))) if means.size else 0.0
-        if worst > MEAN_ZERO_TOL:
+        size = max(1.0, values.max(initial=0.0), -values.min(initial=0.0))
+        tol = MEAN_ZERO_TOL * float(size)
+        if worst > tol:
             raise ValueError(
                 f"component mean {worst:.3e} exceeds the mean-zero "
-                f"tolerance {MEAN_ZERO_TOL:.0e}"
+                f"tolerance {tol:.3g}"
             )
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -405,7 +409,7 @@ class SolverOptions:
     steps: int = 10
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.tol) and self.tol > 0):
+        if not 0.0 < self.tol <= sys.float_info.max:
             raise ValueError(f"tol = {self.tol!r} must be finite and > 0")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")

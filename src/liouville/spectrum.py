@@ -9,6 +9,7 @@ by 8*pi, so a level is m + sum_{l in subset} (1 + gamma_l).
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -47,19 +48,19 @@ class SingularitySet:
     positions: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self) -> None:
-        gammas = tuple(float(g) for g in self.gammas)
-        object.__setattr__(self, "gammas", gammas)
+        gammas = tuple(self.gammas)
+        # Checked before float(), which raises OverflowError on huge ints.
         for l, g in enumerate(gammas):
-            if not math.isfinite(g) or g <= -1.0:
+            if not -1.0 < g <= sys.float_info.max:
                 raise ValueError(f"gamma[{l}] = {g!r} must be finite and > -1")
+        object.__setattr__(self, "gammas", tuple(map(float, gammas)))
         if self.positions is not None:
-            positions = tuple(
-                (float(p[0]), float(p[1])) for p in self.positions
-            )
-            object.__setattr__(self, "positions", positions)
+            positions = tuple((p[0], p[1]) for p in self.positions)
             for l, p in enumerate(positions):
-                if not all(math.isfinite(x) for x in p):
+                if not all(abs(x) <= sys.float_info.max for x in p):
                     raise ValueError(f"position[{l}] = {p!r} must be finite")
+            positions = tuple((float(x), float(y)) for x, y in positions)
+            object.__setattr__(self, "positions", positions)
             if len(positions) != len(gammas):
                 raise ValueError(
                     f"{len(positions)} positions for {len(gammas)} strengths"
@@ -151,9 +152,9 @@ def _levels_and_coefficients(
         If a coefficient of (1-x)^e or of the product leaves the signed
         64-bit range.
     """
-    if not (cap > 0.0) or not math.isfinite(cap):
+    if not 0.0 < cap <= sys.float_info.max:
         raise ValueError(f"cap must be positive and finite, got {cap!r}")
-    if not (merge_tol >= 0.0) or not math.isfinite(merge_tol):
+    if not 0.0 <= merge_tol <= sys.float_info.max:
         raise ValueError(
             f"merge_tol must be finite and nonnegative, got {merge_tol!r}"
         )
@@ -282,7 +283,7 @@ def locate_region(
     """
     if not (q > 0.0):
         raise ValueError(f"normalized energy must be positive, got {q!r}")
-    if not (tol >= 0.0) or not math.isfinite(tol):
+    if not 0.0 <= tol <= sys.float_info.max:
         raise ValueError(
             f"critical tolerance must be finite and nonnegative, got {tol!r}"
         )

@@ -151,6 +151,14 @@ def test_surface_forms(tmp_path):
             f"solver.resolution: must be a positive even integer at most "
             f"{MAX_RESOLUTION}",
         ),
+        (
+            {"matrix": [[1.0]], "surface": {**TORUS, "holes": 4}},
+            "surface: unexpected fields ['holes']",
+        ),
+        (
+            {"matrix": [[1.0]], "surface": {"type": "domain", "holes": 0, "g": 1}},
+            "surface: unexpected fields ['g']",
+        ),
     ],
 )
 def test_config_errors_name_their_field(tmp_path, data, anchor):
@@ -555,6 +563,24 @@ def test_exit_2_on_hypothesis_violation(tmp_path, capsys):
     )
     assert main(["degree", p]) == 2
     assert "error[HypothesisViolation]" in capsys.readouterr().err
+
+
+def test_degree_does_not_depend_on_the_scale_of_the_matrix(tmp_path, capsys):
+    # 2^-30 A with 2^30 rho has the same q, and scaling by a power of two
+    # is exact; the scaled matrix used to fail the invertibility check.
+    a = np.array([[0.0, 2.0, 2.0], [2.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
+    rho = np.array([5.0, 6.0, 7.0])
+    outputs = []
+    for k, name in ((0, "plain.json"), (30, "scaled.json")):
+        data = {
+            "matrix": np.ldexp(a, -k).tolist(),
+            "surface": {"chi": 0},
+            "rho": np.ldexp(rho, k).tolist(),
+        }
+        assert main(["degree", write_config(tmp_path, data, name), "--json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["degree"] == 1
 
 
 def test_exit_3_on_the_critical_surface(tmp_path, capsys):

@@ -429,3 +429,60 @@ def test_degree_jumps_by_the_next_coefficient():
         assert jump == coeffs.get(level, 0)
         assert below.region_k == k
         assert above.region_k == k + 1
+
+
+# ------------------------------------------------ non-finite arguments
+
+_SOURCES = SingularitySet((0.5,))
+_INSTANCE = ProblemInstance(
+    SurfaceSpec.torus(), _SOURCES, InteractionMatrix(EXCHANGE), (1.0, 1.0)
+)
+_MASSES = liouville.MassVector((1.0, 2.0), 2.0)
+# Each entry point that takes a float, called with the value under test.
+_FLOAT_ARGUMENTS = {
+    "enumerate_spectrum-cap": lambda x: enumerate_spectrum(_SOURCES, x),
+    "enumerate_spectrum-merge_tol": lambda x: enumerate_spectrum(_SOURCES, 5.0, x),
+    "build_generating_function-cap": lambda x: build_generating_function(
+        0, _SOURCES, x
+    ),
+    "build_generating_function-merge_tol": lambda x: build_generating_function(
+        0, _SOURCES, 5.0, x
+    ),
+    "leray_schauder_degree-cap": lambda x: leray_schauder_degree(_INSTANCE, cap=x),
+    "leray_schauder_degree-tol": lambda x: leray_schauder_degree(_INSTANCE, tol=x),
+    "leray_schauder_degree-merge_tol": lambda x: leray_schauder_degree(
+        _INSTANCE, merge_tol=x
+    ),
+    "locate_region-tol": lambda x: liouville.locate_region(
+        0.5, CriticalSpectrum((1.0,)), x
+    ),
+    "SolverOptions-tol": lambda x: liouville.SolverOptions(tol=x),
+    "MassVector-mu": lambda x: liouville.MassVector((1.0,), x),
+    "SingularitySet-gamma": lambda x: SingularitySet((x,)),
+    "SingularitySet-position": lambda x: SingularitySet((0.0,), ((x, 0.0),)),
+    "nonsimple_blowup_admissible": liouville.nonsimple_blowup_admissible,
+    "energy_scaling_between_points": lambda x: (
+        liouville.energy_scaling_between_points(_MASSES, x)
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "value", [10**400, math.inf, math.nan], ids=["huge-int", "inf", "nan"]
+)
+@pytest.mark.parametrize(
+    "call", list(_FLOAT_ARGUMENTS.values()), ids=list(_FLOAT_ARGUMENTS)
+)
+def test_non_finite_arguments_raise_value_error(call, value):
+    # An int beyond the double range must not escape as OverflowError.
+    with pytest.raises(ValueError):
+        call(value)
+
+
+def test_package_exports_every_module_export():
+    modules = ("degree", "errors", "matrix", "pohozaev", "series", "solver", "spectrum")
+    union = set()
+    for name in modules:
+        union |= set(getattr(liouville, name).__all__)
+    assert set(liouville.__all__) == union
+    assert len(liouville.__all__) == len(union)

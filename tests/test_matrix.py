@@ -8,6 +8,9 @@ agreement with the library then has no boundary-rounding escape hatch.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from liouville import (
     InteractionMatrix,
@@ -62,6 +65,20 @@ def test_inverse_residual_bound_holds():
         m = InteractionMatrix(a)
         resid = np.max(np.abs(a @ m.inverse() - np.eye(n)))
         assert resid <= 1e-10 * np.max(np.abs(a))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    base=st.integers(1, 4).flatmap(
+        lambda n: hnp.arrays(np.float64, (n, n), elements=st.floats(-2.0, 2.0))
+    )
+)
+def test_invertibility_does_not_depend_on_scale(base):
+    # Diagonally dominant, so the condition number is at most 5.
+    n = base.shape[0]
+    a = base + base.T + 6.0 * n * np.eye(n)
+    for k in [*range(-60, 0), *range(1, 61)]:
+        InteractionMatrix(np.ldexp(a, k)).inverse()
 
 
 def test_inverse_is_cached():

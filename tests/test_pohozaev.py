@@ -8,6 +8,7 @@ import pytest
 from liouville import (
     DegenerateDirection,
     MassVector,
+    NegativeRho,
     NumericOverflow,
     ZeroMass,
     check_h1,
@@ -299,6 +300,21 @@ def test_off_surface_signs():
 def test_surface_requires_some_mass():
     with pytest.raises(ZeroMass):
         critical_surface_from_blowup([[1.0]], (0.0,), (1.0,))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    ("a", "rho", "error"),
+    [
+        ([[1.0]], (1e300,), NumericOverflow),
+        ([[1.0]], (math.nan,), NumericOverflow),
+        (EXCHANGE, (-1.0, 5.0), NegativeRho),
+    ],
+    ids=["overflow", "nan", "negative"],
+)
+def test_surface_refuses_what_the_normalized_energy_refuses(a, rho, error):
+    with pytest.raises(error):
+        critical_surface_from_blowup(a, rho, (1.0,))
 
 
 def test_split_masses_satisfy_the_per_point_identity():

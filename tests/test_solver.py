@@ -128,6 +128,22 @@ def test_fieldset_rejects_nonzero_means():
         FieldSet(np.full((1, 8, 8), 0.5))
 
 
+def test_residual_of_a_large_field_keeps_its_rounded_mean():
+    # The residual's means round to about 1.6e-12 here, at an L2 size of 3e5.
+    u = 10.0 * np.random.default_rng(0).standard_normal((2, 64, 64))
+    u -= u.mean(axis=(1, 2), keepdims=True)
+    grid = TorusGrid(64)
+    p = ProblemInstance(
+        SurfaceSpec.torus(),
+        SingularitySet.empty(),
+        InteractionMatrix([[0.0, 1.0], [1.0, 0.0]]),
+        (4.0, 4.0),
+    )
+    h = build_weights(WeightSpec.uniform(2), grid)
+    r = residual(FieldSet(u), p, h, grid)
+    assert np.all(np.isfinite(r.values))
+
+
 @pytest.mark.parametrize(
     "entries",
     [
