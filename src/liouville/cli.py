@@ -9,12 +9,11 @@ violations, 3 on-critical-surface, 4 solver non-convergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
-
-import numpy as np
 
 from . import fieldio
 from .config import InstanceConfig, load_config
@@ -147,9 +146,7 @@ def _report_payload(report: ConditionReport) -> dict:
 def _cmd_check_matrix(cfg: InstanceConfig, args) -> tuple[dict, int]:
     h1 = check_h1(cfg.matrix)
     try:
-        h2 = check_h2(cfg.matrix)
-        h2_payload = _report_payload(h2)
-        h2_holds = h2.holds
+        h2_payload = _report_payload(check_h2(cfg.matrix))
     except SingularMatrix as exc:
         h2_payload = {
             "holds": False,
@@ -158,13 +155,11 @@ def _cmd_check_matrix(cfg: InstanceConfig, args) -> tuple[dict, int]:
             ],
             "error": str(exc),
         }
-        h2_holds = False
     payload = {
         "standard_hypothesis": _report_payload(h1),
         "strong_interaction_hypothesis": h2_payload,
     }
-    code = 0 if (h1.holds and h2_holds) else 2
-    return payload, code
+    return payload, 0 if (h1.holds and h2_payload["holds"]) else 2
 
 
 def _cmd_spectrum(cfg: InstanceConfig, args) -> tuple[dict, int]:
@@ -252,22 +247,21 @@ def _cmd_solve(cfg: InstanceConfig, args) -> tuple[dict, int]:
     if args.out:
         fieldio.write_binary(args.out, result.fields.values)
         fieldio.write_csv(str(args.out) + ".csv", result.fields.values)
-    payload = {
+    return {
         "resolution": grid.resolution,
         "q": normalized_energy(instance.rho, instance.matrix),
-        "residual_norm": float(result.residual_norm),
-        "max_norm": float(np.max(np.abs(result.fields.values))),
+        "residual_norm": result.residual_norm,
+        "max_norm": result.steps[-1].max_norm,
         "steps": [
             {
-                "t": float(s.t),
-                "newton_iterations": int(s.newton_iterations),
-                "final_residual": float(s.residual_history[-1]),
-                "max_norm": float(s.max_norm),
+                "t": s.t,
+                "newton_iterations": s.newton_iterations,
+                "final_residual": s.residual_history[-1],
+                "max_norm": s.max_norm,
             }
             for s in result.steps
         ],
-    }
-    return payload, 0
+    }, 0
 
 
 def _cmd_verify(cfg: InstanceConfig, args) -> tuple[dict, int]:
@@ -280,14 +274,7 @@ def _cmd_verify(cfg: InstanceConfig, args) -> tuple[dict, int]:
         )
     instance, weights, grid = _solver_pieces(cfg, int(values.shape[1]))
     report = verify_solution(FieldSet(values), instance, weights, grid)
-    return {
-        "residual_l2": [float(x) for x in report.residual_l2],
-        "residual_means": [float(x) for x in report.residual_means],
-        "field_means": [float(x) for x in report.field_means],
-        "normalized_masses": [float(x) for x in report.normalized_masses],
-        "functional_value": float(report.functional_value),
-        "residual_norm": float(report.residual_norm),
-    }, 0
+    return dataclasses.asdict(report), 0
 
 
 # Each subcommand's handler and the flags it reads besides --json.
@@ -317,34 +304,23 @@ def _human_lines(value, indent: int) -> list[str]:
         width = max((len(str(k)) for k in value), default=0)
         for key in value:
             item = value[key]
-            if isinstance(item, (dict, list)) and item:
+            if isinstance(item, (dict, list, tuple)) and item:
                 lines.append(f"{pad}{key}:")
                 lines.extend(_human_lines(item, indent + 1))
             else:
-                rendered = _scalar(item)
-                lines.append(f"{pad}{str(key).ljust(width)}  {rendered}")
-    elif isinstance(value, list):
+                lines.append(f"{pad}{str(key).ljust(width)}  {item}")
+    elif isinstance(value, (list, tuple)):
         for item in value:
-            if isinstance(item, (dict, list)):
+            if isinstance(item, (dict, list, tuple)):
                 lines.extend(_human_lines(item, indent))
                 lines.append("")
             else:
-                lines.append(f"{pad}{_scalar(item)}")
+                lines.append(f"{pad}{item}")
         while lines and lines[-1] == "":
             lines.pop()
     else:
-        lines.append(f"{pad}{_scalar(value)}")
+        lines.append(f"{pad}{value}")
     return lines
-
-
-def _scalar(item) -> str:
-    if isinstance(item, float):
-        return repr(item)
-    if isinstance(item, list) and not item:
-        return "[]"
-    if isinstance(item, dict) and not item:
-        return "{}"
-    return str(item)
 
 
 if __name__ == "__main__":

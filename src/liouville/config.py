@@ -49,15 +49,12 @@ class InstanceConfig:
         return self.surface
 
     def instance(self) -> ProblemInstance:
-        try:
-            return ProblemInstance(
-                self.require_surface(),
-                self.singularities,
-                self.matrix,
-                self.require_rho(),
-            )
-        except ValueError as exc:
-            raise ConfigError("rho", str(exc)) from exc
+        return ProblemInstance(
+            self.require_surface(),
+            self.singularities,
+            self.matrix,
+            self.require_rho(),
+        )
 
 
 def load_config(path: str | Path) -> InstanceConfig:

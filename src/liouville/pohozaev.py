@@ -116,9 +116,12 @@ def solve_mass_on_hypersurface(a, mu: float, direction) -> MassVector:
 
 def minimal_mass_check(a, masses: MassVector) -> ConditionReport:
     """Fully-bubbling lower bound: m_i = sum_j a_ij sigma_j > 2 mu for
-    every component."""
+    every component; NumericOverflow if some m_i leaves the double range."""
     m = as_interaction_matrix(a)
-    minimal = m.entries @ masses.sigma
+    with np.errstate(over="ignore", invalid="ignore"):
+        minimal = m.entries @ masses.sigma
+    if not np.all(np.isfinite(minimal)):
+        raise NumericOverflow("a minimal mass m_i leaves the double range")
     bound = 2.0 * masses.mu
     violations = tuple(
         Violation("minimal-mass", (i,), float(minimal[i]))
@@ -144,20 +147,30 @@ def nonsimple_blowup_admissible(gamma: float) -> bool:
     return nearest is not None and nearest >= 1
 
 
+def _blowup_weights(mus) -> NDArray[np.float64]:
+    """The weights mu_l of the blowup points, checked to be a nonempty
+    vector of positive numbers with 8 pi sum_l mu_l finite."""
+    mus = np.asarray(mus, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = 8.0 * math.pi * mus.sum()
+    if mus.ndim != 1 or not (mus.size and np.all(mus > 0) and np.isfinite(total)):
+        raise ValueError("mus must be positive weights with a finite total")
+    return mus
+
+
 def local_mass_split(rho, mus) -> NDArray[np.float64]:
     """Split total masses over blowup points proportionally to their
     weights: sigma_{i,l} = rho_i mu_l / (2 pi sum_s mu_s).
 
-    Rows reconstruct rho: 2 pi sum_l sigma_{i,l} = rho_i.
+    Rows reconstruct rho: 2 pi sum_l sigma_{i,l} = rho_i. ValueError
+    unless every rho_i is finite and nonnegative and the mu_l are a
+    nonempty vector of positive numbers with a finite total.
     """
     rho = np.asarray(rho, dtype=np.float64)
-    mus_arr = np.asarray(mus, dtype=np.float64)
-    if mus_arr.ndim != 1 or mus_arr.size == 0:
-        raise ValueError("mus must be a nonempty vector")
-    if np.any(mus_arr <= 0.0):
-        raise ValueError("all weights mu_l must be positive")
-    denom = 2.0 * math.pi * mus_arr.sum()
-    return rho[:, None] * (mus_arr[None, :] / denom)
+    if not np.all((rho >= 0.0) & (rho <= sys.float_info.max)):
+        raise ValueError("all masses rho_i must be finite and nonnegative")
+    mus = _blowup_weights(mus)
+    return rho[:, None] * (mus[None, :] / (2.0 * math.pi * mus.sum()))
 
 
 def critical_surface_from_blowup(a, rho, mus) -> float:
@@ -170,9 +183,16 @@ def critical_surface_from_blowup(a, rho, mus) -> float:
 
     Raises
     ------
+    ValueError
+        As for the weights in ``local_mass_split``.
     NegativeRho, ZeroMass, NumericOverflow
-        As for ``normalized_energy``.
+        As for ``normalized_energy``; NumericOverflow also if the
+        residual leaves the double range.
     """
+    mus = _blowup_weights(mus)
     q = normalized_energy(rho, a)
     scale = 8.0 * math.pi * float(np.sum(rho, dtype=np.float64))
-    return scale * (q - float(np.sum(mus, dtype=np.float64)))
+    value = scale * (q - float(mus.sum()))
+    if not math.isfinite(value):
+        raise NumericOverflow(f"the residual {value!r} leaves the double range")
+    return value

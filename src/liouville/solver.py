@@ -154,8 +154,10 @@ class FieldSet:
             )
         if not np.all(np.isfinite(values)):
             raise ValueError("field is not finite: it holds NaN or infinite values")
-        # The rounding error of a mean grows with the field's size.
-        means = values.mean(axis=(1, 2))
+        # The rounding error of a mean grows with the field's size. An
+        # overflowing sum gives an infinite mean, which fails below.
+        with np.errstate(over="ignore"):
+            means = values.mean(axis=(1, 2))
         worst = float(np.max(np.abs(means))) if means.size else 0.0
         size = max(1.0, values.max(initial=0.0), -values.min(initial=0.0))
         tol = MEAN_ZERO_TOL * float(size)
@@ -288,13 +290,7 @@ def _evaluate_smooth_factor(factor, grid: TorusGrid) -> FloatGrid:
     if factor is None:
         return np.ones((m, m))
     if callable(factor):
-        out = np.asarray(factor(grid.x, grid.y), dtype=np.float64)
-        if out.shape != (m, m):
-            raise ValueError(
-                f"smooth factor callable returned shape {out.shape}, "
-                f"expected {(m, m)}"
-            )
-        return out
+        factor = factor(grid.x, grid.y)
     arr = np.asarray(factor, dtype=np.float64)
     if arr.ndim == 0:
         return np.full((m, m), float(arr))
@@ -302,42 +298,48 @@ def _evaluate_smooth_factor(factor, grid: TorusGrid) -> FloatGrid:
         raise ValueError(
             f"smooth factor has shape {arr.shape}, expected {(m, m)}"
         )
-    return arr.copy()
+    return arr
 
 
-def _density(
-    h: FloatGrid, u: FloatGrid, check: bool = True
-) -> tuple[FloatGrid, FloatGrid]:
-    """Densities h_i e^{u_i} and their quadratures <h_i e^{u_i}>; with
-    ``check``, DensityOverflow unless every quadrature is finite and
-    ZeroMassDensity unless every one is positive."""
+def _require_shape(p: ProblemInstance, grid: TorusGrid, **arrays) -> None:
+    """ValueError unless each named array has the shape (n, M, M) of the
+    instance's n components on the grid."""
+    shape = (p.matrix.n, grid.resolution, grid.resolution)
+    for name, arr in arrays.items():
+        if np.shape(arr) != shape:
+            raise ValueError(
+                f"{name} has shape {np.shape(arr)}, expected {shape} for the "
+                f"{p.matrix.n}-component system on this grid"
+            )
+
+
+def _coupling(p: ProblemInstance, t: float = 1.0) -> FloatGrid:
+    """The coupling a_ij t rho_j at the mass t * rho."""
+    return p.matrix.entries * (t * p.rho)[None, :]
+
+
+def _density(h: FloatGrid, u: FloatGrid) -> tuple[FloatGrid, FloatGrid]:
+    """Densities h_i e^{u_i} and their quadratures <h_i e^{u_i}>,
+    unchecked: a quadrature may be infinite, NaN or zero."""
     with np.errstate(over="ignore", invalid="ignore"):
         dens = h * np.exp(u)
-        means = dens.mean(axis=(1, 2))
-    if check and not np.all(np.isfinite(means)):
+        return dens, dens.mean(axis=(1, 2))
+
+
+def _require_mass(means: FloatGrid) -> None:
+    """DensityOverflow unless every quadrature <h_i e^{u_i}> is finite,
+    ZeroMassDensity unless every one is positive."""
+    if not np.all(np.isfinite(means)):
         bad = int(np.argmin(np.isfinite(means)))
         raise DensityOverflow(
             f"<h_{bad} e^(u_{bad})> overflowed: the quadrature exceeds the "
             "double range"
         )
-    if check and np.any(means <= 0.0):
+    if np.any(means <= 0.0):
         bad = int(np.argmin(means))
         raise ZeroMassDensity(
             f"<h_{bad} e^(u_{bad})> = {float(means[bad])!r} is not positive"
         )
-    return dens, means
-
-
-def _residual_arrays(
-    u: FloatGrid,
-    coupling: FloatGrid,
-    dens: FloatGrid,
-    means: FloatGrid,
-    grid: TorusGrid,
-) -> FloatGrid:
-    """Residual for the coupling a_ij rho_j and the density of u."""
-    forcing = dens / means[:, None, None] - 1.0
-    return np.einsum("ij,jxy->ixy", coupling, forcing) + grid.laplacian(u)
 
 
 def residual(
@@ -348,14 +350,16 @@ def residual(
 
     Raises
     ------
+    ValueError
+        If u or h is not (n, M, M) for the instance and the grid.
     ZeroMassDensity
         If some quadrature <h_j e^{u_j}> is not positive; its subclass
         DensityOverflow if one exceeds the double range.
     """
-    coupling = p.matrix.entries * np.asarray(p.rho, dtype=np.float64)[None, :]
-    return FieldSet(
-        _residual_arrays(u.values, coupling, *_density(h, u.values), grid)
-    )
+    _require_shape(p, grid, field=u.values, weights=h)
+    r, _, _, means = _evaluate(u.values, _coupling(p), h, grid)
+    _require_mass(means)
+    return FieldSet(r)
 
 
 def functional_J(
@@ -366,8 +370,11 @@ def functional_J(
 
     The quadratic part is evaluated through the mode sums, which makes
     the solver residual its exact discrete Euler-Lagrange gradient.
+    Raises as ``residual`` does.
     """
+    _require_shape(p, grid, field=u.values, weights=h)
     _, means = _density(h, u.values)
+    _require_mass(means)
     return _energy(u.values, p, means, grid)
 
 
@@ -381,8 +388,7 @@ def _energy(
     # Summed row-major over the nonzero a^{ij}, from one transform per component.
     for i, j in zip(*np.nonzero(inv)):
         quad += inv[i, j] * grid._mode_inner(modes[i], modes[j])
-    rho = np.asarray(p.rho, dtype=np.float64)
-    return 0.5 * quad - float(np.sum(rho * np.log(means)))
+    return 0.5 * float(quad) - float(np.sum(p.rho * np.log(means)))
 
 
 def functional_gradient(
@@ -392,14 +398,15 @@ def functional_gradient(
     V_i = sum_j a^{ij} (-Delta u_j) - rho_i (h_i e^{u_i}/<h_i e^{u_i}> - 1).
 
     Applying the coupling matrix A to V recovers -R(u) identically.
+    Raises as ``residual`` does.
     """
-    inv = p.matrix.inverse()
+    _require_shape(p, grid, field=u.values, weights=h)
     dens, means = _density(h, u.values)
+    _require_mass(means)
     forcing = dens / means[:, None, None] - 1.0
-    rho = np.asarray(p.rho, dtype=np.float64)
     return (
-        -np.einsum("ij,jxy->ixy", inv, grid.laplacian(u.values))
-        - rho[:, None, None] * forcing
+        -np.einsum("ij,jxy->ixy", p.matrix.inverse(), grid.laplacian(u.values))
+        - p.rho[:, None, None] * forcing
     )
 
 
@@ -455,10 +462,6 @@ def solve_continuation(
         If the energy or a stage's starting residual norm leaves the
         double range.
     """
-    if w.n != p.matrix.n:
-        raise ValueError(
-            f"{w.n} weight factors for a {p.matrix.n}-component system"
-        )
     q = normalized_energy(p.rho, p.matrix)
     # The lowest candidate level: one regular blow-up point or one source.
     n1 = min((1.0, *p.singularities.mus))
@@ -468,7 +471,7 @@ def solve_continuation(
             f"critical level n_1 = {n1!r}; the solver only runs subcritically"
         )
     h = build_weights(w, grid)
-    rho = np.asarray(p.rho, dtype=np.float64)
+    _require_shape(p, grid, weights=h)
     m = grid.resolution
     u = np.zeros((p.matrix.n, m, m))
     diagnostics: list[StepDiagnostics] = []
@@ -478,8 +481,9 @@ def solve_continuation(
         else np.linspace(T_START, 1.0, opts.steps)
     )
     for t in schedule:
-        coupling = p.matrix.entries * (t * rho)[None, :]
-        u, step_diag = _newton_stage(u, float(t), coupling, h, grid, opts.tol)
+        u, step_diag = _newton_stage(
+            u, float(t), _coupling(p, t), h, grid, opts.tol
+        )
         diagnostics.append(step_diag)
     final_norm = diagnostics[-1].residual_history[-1]
     return SolveResult(FieldSet(u), tuple(diagnostics), final_norm)
@@ -492,12 +496,13 @@ def _l2_norm(r: FloatGrid, m: int) -> float:
 def _evaluate(
     u: FloatGrid, coupling: FloatGrid, h: FloatGrid, grid: TorusGrid
 ) -> tuple[FloatGrid, float, FloatGrid, FloatGrid]:
-    """Residual of the iterate u, its norm, and the density and means it
-    was built from: the only place the Newton path forms them. A
-    non-finite norm is left to the caller, which rejects the step."""
+    """Residual of u for the coupling and its norm, with the density and
+    means they were built from; ``residual``, ``verify_solution`` and the
+    Newton stage evaluate here. Unchecked: callers handle non-finite values."""
+    dens, means = _density(h, u)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        dens, means = _density(h, u, check=False)
-        r = _residual_arrays(u, coupling, dens, means, grid)
+        forcing = dens / means[:, None, None] - 1.0
+        r = np.einsum("ij,jxy->ixy", coupling, forcing) + grid.laplacian(u)
         return r, _l2_norm(r, grid.resolution), dens, means
 
 
@@ -634,18 +639,18 @@ def verify_solution(
     """Consistency report for a candidate solution: per-component
     residual sizes, mean defects, the masses <h_i e^{v_i}> after the
     normalizing shift v_i = u_i - log<h_i e^{u_i}> (each must be 1), and
-    the functional value."""
+    the functional value. Raises as ``residual`` does."""
     h = build_weights(w, grid)
     values = u.values
-    dens, means = _density(h, values)
-    _, masses = _density(h, values - np.log(means)[:, None, None], check=False)
-    coupling = p.matrix.entries * np.asarray(p.rho, dtype=np.float64)[None, :]
-    r = _residual_arrays(values, coupling, dens, means, grid)
+    _require_shape(p, grid, field=values, weights=h)
+    r, rnorm, _, means = _evaluate(values, _coupling(p), h, grid)
+    _require_mass(means)
+    _, masses = _density(h, values - np.log(means)[:, None, None])
     return SolutionReport(
         residual_l2=tuple(np.sqrt(np.mean(r**2, axis=(1, 2))).tolist()),
         residual_means=tuple(r.mean(axis=(1, 2)).tolist()),
         field_means=tuple(values.mean(axis=(1, 2)).tolist()),
         normalized_masses=tuple(masses.tolist()),
         functional_value=_energy(values, p, means, grid),
-        residual_norm=_l2_norm(r, grid.resolution),
+        residual_norm=rnorm,
     )

@@ -159,6 +159,23 @@ def test_surface_forms(tmp_path):
             {"matrix": [[1.0]], "surface": {"type": "domain", "holes": 0, "g": 1}},
             "surface: unexpected fields ['g']",
         ),
+        ({"matrix": [[1.0]], "surface": 3}, "surface: expected an object"),
+        ({"matrix": [[1.0]], "solver": []}, "solver: expected an object"),
+        ({"matrix": [[1.0]], "caps": 1}, "caps: expected an object"),
+        (
+            {"matrix": [[1.0]], "singularities": {"gamma": 1.0}},
+            "singularities: expected a list",
+        ),
+        (
+            {"matrix": [[1.0]], "surface": {"chi": 1.5}},
+            "surface.chi: expected an integer",
+        ),
+        (
+            {"matrix": [[1.0]], "caps": {"tolerance": -1.0}},
+            "caps.tolerance: must be nonnegative",
+        ),
+        ({"matrix": [[1.0, 2.0]]}, "matrix: expected a square matrix"),
+        ({"matrix": [[1.0], [1.0, 2.0]]}, "matrix: "),
     ],
 )
 def test_config_errors_name_their_field(tmp_path, data, anchor):
@@ -969,3 +986,31 @@ def test_missing_subcommand_exits_via_argparse(capsys):
     with pytest.raises(SystemExit):
         main([])
     capsys.readouterr()
+
+
+def test_a_closed_stdout_gives_one_error_line_in_process(monkeypatch, capsys):
+    # The same path as above, taken in this process so that it runs
+    # under the test suite itself: the first flush meets no reader.
+    read, write = os.pipe()
+    os.close(read)
+    closed = os.fdopen(write, "w")
+    monkeypatch.setattr(sys, "stdout", closed)
+    try:
+        code = main(["spectrum", str(DATA / "readme_degree.json"), "--json"])
+    finally:
+        monkeypatch.undo()
+        closed.close()
+    assert code == 1
+    assert_single_error_line(capsys, "BrokenPipeError")
+
+
+def test_solve_and_verify_print_plain_numbers(tmp_path, capsys):
+    # Text output renders Python floats and tuples as the JSON output
+    # does: no numpy scalar reprs, no tuple parentheses.
+    cfg = singular_solve_config(tmp_path)
+    dump = str(tmp_path / "fields.bin")
+    assert main(["solve", cfg, "--out", dump]) == 0
+    assert main(["verify", cfg, "--field", dump]) == 0
+    out = capsys.readouterr().out
+    assert "functional_value" in out and "max_norm" in out
+    assert "np." not in out and "(" not in out

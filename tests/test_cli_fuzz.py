@@ -13,13 +13,18 @@ enumeration would not fit in memory.
 import contextlib
 import io
 import json
+import math
 import re
 import warnings
+from pathlib import Path
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from liouville.cli import COMMANDS, main
+
+DATA = Path(__file__).parent / "data"
 
 EDGES = (0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e300, -1e300, 1.7e308, -1.7e308, 5e-324)
 CAPS = (0.5, 3.0, 20.0, 1e9, 1e300)
@@ -154,6 +159,81 @@ def test_every_config_gives_an_answer_or_one_error_line(tmp_path_factory, cfg, a
         warnings.simplefilter("always")
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([argv[0], str(path), *argv[1:]])
+    assert code in range(5)
+    assert [str(w.message) for w in caught] == []
+    if out.getvalue():
+        json.loads(out.getvalue(), parse_constant=reject_constant)
+    else:
+        assert code != 0
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert re.match(r"error\[\w+\]: ", lines[0])
+
+
+# Field dumps for ``verify``: with a bad header, with n or M other than
+# the config's, cut short or padded, or holding values a solve never
+# writes. Each config is paired with its number of components.
+VERIFY_CONFIGS = (("readme_solve.json", 1), ("pair_solve.json", 2))
+BAD_HEADERS = (
+    b"",
+    b"1 16",
+    b"1 16 \n",
+    b"+1 16\n",
+    b"1\t16\n",
+    b"1 16\r\n",
+    b"\xff\xfe\n",
+    b"99999999999 99999999999\n",
+)
+# Each value goes to one node, and its negative to another when paired,
+# so a dump can hold huge values and still have mean zero.
+NODE_VALUES = (math.nan, math.inf, -math.inf, 1.7e308, 1e300, 800.0, 5e-324, 1.0)
+DUMP_KINDS = ("values", "values", "values", "shape", "truncated", "padded", "header")
+
+
+@st.composite
+def verify_cases(draw):
+    config, n = draw(st.sampled_from(VERIFY_CONFIGS))
+    kind = draw(st.sampled_from(DUMP_KINDS))
+    if kind == "header":
+        junk = bytes(draw(st.integers(0, 64)))
+        return config, draw(st.sampled_from(BAD_HEADERS)) + junk
+    m = draw(st.sampled_from((4, 16)))
+    if kind == "shape":
+        n = draw(st.sampled_from((0, n - 1, n + 1)))
+        m = draw(st.sampled_from((0, 2, 15, 16)))
+    values = np.zeros((n, m, m))
+    if kind == "values":
+        for _ in range(draw(st.integers(1, 2))):
+            x = draw(st.sampled_from(NODE_VALUES))
+            values.flat[draw(st.integers(0, values.size - 1))] = x
+            if draw(st.booleans()):
+                values.flat[draw(st.integers(0, values.size - 1))] = -x
+    payload = values.astype("<f8").tobytes()
+    if kind == "truncated":
+        payload = payload[: draw(st.integers(0, len(payload) - 1))]
+    elif kind == "padded":
+        payload += bytes(draw(st.integers(1, 16)))
+    return config, f"{n} {m}\n".encode() + payload
+
+
+@settings(
+    max_examples=150,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=verify_cases())
+def test_every_field_dump_gives_a_report_or_one_error_line(tmp_path_factory, case):
+    config, dump = case
+    path = tmp_path_factory.getbasetemp() / "fuzz.bin"
+    path.write_bytes(dump)
+    argv = ["verify", str(DATA / config), "--json", "--field", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
     assert code in range(5)
     assert [str(w.message) for w in caught] == []
     if out.getvalue():

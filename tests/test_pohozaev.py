@@ -371,3 +371,57 @@ def test_mass_vector_validation():
         MassVector((1.0,), 0.0)
     with pytest.raises(ValueError):
         MassVector((np.nan,), 1.0)
+
+
+# ------------------------------------------------ inputs out of range
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    ("rho", "mus", "error"),
+    [
+        ((math.nan, 1.0), (1.0,), ValueError),
+        ((-1.0, 1.0), (1.0,), ValueError),
+        ((math.inf, 1.0), (1.0,), ValueError),
+        ((1.0,), (math.inf,), ValueError),
+        ((1.0,), (1.0, math.nan), ValueError),
+        ((1.0,), (-1.0,), ValueError),
+        ((1.0,), (0.0,), ValueError),
+        ((1.0,), (), ValueError),
+        ((1.0,), (1e308, 1e308), ValueError),
+        ((1.0,), (1e308,), ValueError),
+    ],
+    ids=[
+        "nan-rho", "negative-rho", "inf-rho", "inf-mu", "nan-mu", "negative-mu",
+        "zero-mu", "no-points", "mu-sum-overflow", "total-overflow",
+    ],
+)
+def test_split_refuses_masses_and_weights_out_of_range(rho, mus, error):
+    with pytest.raises(error):
+        local_mass_split(rho, mus)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    ("a", "rho", "mus", "error"),
+    [
+        ([[1.0]], (8.0 * math.pi,), (math.nan,), ValueError),
+        ([[1.0]], (8.0 * math.pi,), (-1.0,), ValueError),
+        ([[1.0]], (8.0 * math.pi,), (math.inf,), ValueError),
+        ([[1.0]], (8.0 * math.pi,), (), ValueError),
+        ([[1.0]], (8.0 * math.pi,), (1e308, 1e308), ValueError),
+        ([[1e-300]], (1e300,), (1e300,), NumericOverflow),
+    ],
+    ids=["nan-mu", "negative-mu", "inf-mu", "no-points", "mu-sum-overflow",
+         "residual-overflow"],
+)
+def test_surface_refuses_weights_out_of_range(a, rho, mus, error):
+    with pytest.raises(error):
+        critical_surface_from_blowup(a, rho, mus)
+
+
+@pytest.mark.filterwarnings("error")
+def test_minimal_masses_beyond_the_double_range_are_refused():
+    masses = MassVector((1e308, 1e308), 1.0)
+    with pytest.raises(NumericOverflow, match="minimal mass"):
+        minimal_mass_check(np.full((2, 2), 1e308), masses)

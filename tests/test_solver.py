@@ -936,3 +936,55 @@ def test_verify_reports_on_a_converged_singular_solve():
     assert np.max(np.abs(report.residual_means)) <= 1e-10
     assert report.residual_norm <= 1e-8
     assert np.isfinite(report.functional_value)
+
+
+# ------------------------------------------------------------ input shapes
+
+
+@pytest.mark.parametrize(
+    ("matrix", "field_n", "weight_n", "field_m"),
+    [
+        pytest.param([[1.0]], 2, 1, 16, id="two-components-for-one"),
+        pytest.param([[1.0]], 1, 2, 16, id="two-weights-for-one"),
+        pytest.param([[0.0, 1.0], [1.0, 0.0]], 1, 2, 16, id="one-component-for-two"),
+        pytest.param([[1.0]], 1, 1, 8, id="field-on-another-grid"),
+    ],
+)
+def test_field_functions_refuse_mismatched_shapes(matrix, field_n, weight_n, field_m):
+    grid = TorusGrid(16)
+    a = InteractionMatrix(matrix)
+    p = ProblemInstance(TORUS, SingularitySet.empty(), a, (1.0,) * a.n)
+    u = FieldSet.zeros(field_n, field_m)
+    w = WeightSpec.uniform(weight_n)
+    h = build_weights(w, grid)
+    for call in (residual, functional_J, functional_gradient):
+        with pytest.raises(ValueError, match="system on this grid"):
+            call(u, p, h, grid)
+    with pytest.raises(ValueError, match="system on this grid"):
+        verify_solution(u, p, w, grid)
+
+
+def test_weights_refuse_positions_that_coincide_on_the_torus():
+    # Distinct as given, the same node once wrapped onto [0, 1)^2.
+    s = SingularitySet((1.0, 1.0), positions=((0.0, 0.0), (1.0, 1.0)))
+    with pytest.raises(ValueError, match="coincide on the torus"):
+        build_weights(WeightSpec.uniform(1, s), TorusGrid(16))
+
+
+@pytest.mark.parametrize(
+    "factor",
+    [np.ones((8, 8)), lambda x, y: np.ones((8, 8))],
+    ids=["array", "callable"],
+)
+def test_smooth_factors_of_the_wrong_shape_are_refused(factor):
+    w = WeightSpec((factor,), SingularitySet.empty())
+    with pytest.raises(ValueError, match=r"has shape \(8, 8\), expected \(16, 16\)"):
+        build_weights(w, TorusGrid(16))
+
+
+@pytest.mark.filterwarnings("error")
+def test_fieldset_refuses_a_mean_beyond_the_double_range():
+    values = np.zeros((1, 4, 4))
+    values[0, 0, :2] = 1.7e308
+    with pytest.raises(ValueError, match="component mean inf exceeds"):
+        FieldSet(values)
