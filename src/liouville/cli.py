@@ -42,11 +42,7 @@ from .solver import (
     solve_continuation,
     verify_solution,
 )
-from .spectrum import (
-    DEFAULT_CRITICAL_TOL,
-    DEFAULT_MERGE_TOL,
-    enumerate_spectrum,
-)
+from .spectrum import DEFAULT_CRITICAL_TOL, enumerate_spectrum
 
 __all__ = ["main", "run"]
 
@@ -58,9 +54,6 @@ _EXIT_CODES = (
 
 _FLAGS = {
     "--cap": dict(type=float, help="spectrum exponent cap"),
-    "--tol-merge": dict(
-        type=float, help="tolerance for merging coincident levels"
-    ),
     "--tol-critical": dict(
         type=float, help="distance to a level that counts as critical"
     ),
@@ -164,25 +157,19 @@ def _cmd_check_matrix(cfg: InstanceConfig, args) -> tuple[dict, int]:
 
 def _cmd_spectrum(cfg: InstanceConfig, args) -> tuple[dict, int]:
     cap = _first_set(args.cap, cfg.exponent_cap, DEFAULT_CAP)
-    merge_tol = _first_set(args.tol_merge, DEFAULT_MERGE_TOL)
-    spec = enumerate_spectrum(cfg.singularities, cap, merge_tol)
-    return {
-        "cap": float(cap),
-        "levels": [float(v) for v in spec.levels],
-    }, 0
+    spec = enumerate_spectrum(cfg.singularities, cap)
+    return {"cap": cap, "levels": list(spec.levels)}, 0
 
 
 def _cmd_series(cfg: InstanceConfig, args) -> tuple[dict, int]:
     surface = cfg.require_surface()
     cap = _first_set(args.cap, cfg.exponent_cap, DEFAULT_CAP)
-    merge_tol = _first_set(args.tol_merge, DEFAULT_MERGE_TOL)
-    g = build_generating_function(surface.chi, cfg.singularities, cap, merge_tol)
+    g = build_generating_function(surface.chi, cfg.singularities, cap)
     return {
         "chi": surface.chi,
-        "cap": float(cap),
+        "cap": cap,
         "terms": [
-            {"exponent": float(v), "coefficient": int(c)}
-            for v, c in g.sorted_terms()
+            {"exponent": v, "coefficient": c} for v, c in g.sorted_terms()
         ],
     }, 0
 
@@ -193,15 +180,14 @@ def _cmd_degree(cfg: InstanceConfig, args) -> tuple[dict, int]:
         instance,
         cap=_first_set(args.cap, cfg.exponent_cap, DEFAULT_CAP),
         tol=_first_set(args.tol_critical, cfg.critical_tol, DEFAULT_CRITICAL_TOL),
-        merge_tol=_first_set(args.tol_merge, DEFAULT_MERGE_TOL),
     )
     return {
-        "degree": int(result.degree),
-        "region": int(result.region_k),
-        "q": float(result.q_normalized),
-        "level_below": float(result.nearest_levels[0]),
-        "level_above": float(result.nearest_levels[1]),
-        "partial_coefficients": [int(b) for b in result.partial_coefficients],
+        "degree": result.degree,
+        "region": result.region_k,
+        "q": result.q_normalized,
+        "level_below": result.nearest_levels[0],
+        "level_above": result.nearest_levels[1],
+        "partial_coefficients": result.partial_coefficients,
     }, 0
 
 
@@ -280,9 +266,9 @@ def _cmd_verify(cfg: InstanceConfig, args) -> tuple[dict, int]:
 # Each subcommand's handler and the flags it reads besides --json.
 COMMANDS = {
     "check-matrix": (_cmd_check_matrix, ()),
-    "spectrum": (_cmd_spectrum, ("--cap", "--tol-merge")),
-    "series": (_cmd_series, ("--cap", "--tol-merge")),
-    "degree": (_cmd_degree, ("--cap", "--tol-merge", "--tol-critical")),
+    "spectrum": (_cmd_spectrum, ("--cap",)),
+    "series": (_cmd_series, ("--cap",)),
+    "degree": (_cmd_degree, ("--cap", "--tol-critical")),
     "pohozaev": (_cmd_pohozaev, ()),
     "solve": (_cmd_solve, ("--resolution", "--out")),
     "verify": (_cmd_verify, ("--field",)),

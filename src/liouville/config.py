@@ -122,6 +122,11 @@ def _parse_matrix(raw: dict) -> InteractionMatrix:
     for i, row in enumerate(rows):
         if not isinstance(row, list):
             raise ConfigError(f"matrix[{i}]", "expected a list of numbers")
+        if len(row) != len(rows[0]):
+            raise ConfigError(
+                f"matrix[{i}]",
+                f"has {len(row)} entries, but matrix[0] has {len(rows[0])}",
+            )
         for j, x in enumerate(row):
             _require_number(x, f"matrix[{i}][{j}]")
     try:

@@ -31,7 +31,6 @@ from .matrix import InteractionMatrix, as_interaction_matrix, check_h1, check_h2
 from .series import build_generating_function
 from .spectrum import (
     DEFAULT_CRITICAL_TOL,
-    DEFAULT_MERGE_TOL,
     CriticalSpectrum,
     SingularitySet,
     locate_region,
@@ -191,7 +190,6 @@ def leray_schauder_degree(
     p: ProblemInstance,
     cap: float = DEFAULT_CAP,
     tol: float = DEFAULT_CRITICAL_TOL,
-    merge_tol: float = DEFAULT_MERGE_TOL,
 ) -> DegreeResult:
     """Degree of the instance in its off-critical region.
 
@@ -211,9 +209,7 @@ def leray_schauder_degree(
     # An invalid cap is left to the enumeration to report.
     if 0.0 < cap < q:
         raise OutOfRange(f"normalized energy {q!r} exceeds the cap {cap!r}")
-    series = build_generating_function(
-        p.surface.chi, p.singularities, cap, merge_tol
-    )
+    series = build_generating_function(p.surface.chi, p.singularities, cap)
     spectrum = CriticalSpectrum(series.levels)
     k = locate_region(q, spectrum, tol)
     partial = (1,) + series.coefficients[:k]

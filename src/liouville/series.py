@@ -11,11 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .spectrum import (
-    DEFAULT_MERGE_TOL,
-    SingularitySet,
-    _levels_and_coefficients,
-)
+from .spectrum import SingularitySet, _levels_and_coefficients
 
 __all__ = [
     "GeneralizedSeries",
@@ -51,7 +47,6 @@ def build_generating_function(
     chi: int,
     singularities: SingularitySet,
     cap: float,
-    merge_tol: float = DEFAULT_MERGE_TOL,
 ) -> GeneralizedSeries:
     """Full counting series for Euler characteristic ``chi`` and the
     given sources, truncated at ``cap``.
@@ -59,8 +54,8 @@ def build_generating_function(
     Raises
     ------
     ValueError
-        If some 1+gamma_l <= merge_tol: the singular factor would merge
-        into the constant term and cancel it.
+        If some 1+gamma_l is within the merge tolerance 1e-9: the
+        singular factor would merge into the constant term and cancel it.
     TooManyLevels
         If (ceil(cap)+1) * 2^N exceeds ``DEFAULT_LEVEL_LIMIT``, as for
         the spectrum.
@@ -68,6 +63,6 @@ def build_generating_function(
         If a coefficient leaves the signed 64-bit range.
     """
     levels, coefficients = _levels_and_coefficients(
-        singularities, cap, merge_tol, exponent=int(chi) - singularities.count
+        singularities, cap, exponent=int(chi) - singularities.count
     )
     return GeneralizedSeries(levels, coefficients)

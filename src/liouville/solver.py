@@ -258,9 +258,10 @@ def build_weights(w: WeightSpec, grid: TorusGrid) -> FloatGrid:
     rows = []
     for i, factor in enumerate(w.smooth_factors):
         g = _evaluate_smooth_factor(factor, grid)
-        if float(g.min()) <= 0.0:
+        if not (np.all(np.isfinite(g)) and g.min() > 0.0):
             raise ValueError(
-                f"smooth factor {i} must be strictly positive everywhere"
+                f"smooth factor {i} must be finite and strictly positive "
+                f"everywhere"
             )
         rows.append(g)
     h = np.stack(rows) if rows else np.zeros((0, m, m))

@@ -122,7 +122,7 @@ def enumerate_spectrum(
 def _levels_and_coefficients(
     singularities: SingularitySet,
     cap: float,
-    merge_tol: float,
+    merge_tol: float = DEFAULT_MERGE_TOL,
     exponent: int | None = None,
 ) -> tuple[tuple[float, ...], tuple[int, ...] | None]:
     """The one enumeration of critical levels, shared by spectrum,

@@ -91,7 +91,6 @@ POISON = (
 )
 FLAG_VALUES = {
     "--cap": st.sampled_from((0.0, -1.0, *CAPS, float("nan"), float("inf"))).map(repr),
-    "--tol-merge": st.sampled_from(("0", "1e-9", "0.5", "-1", "nan")),
     "--tol-critical": st.sampled_from(("0", "1e-8", "0.2", "inf")),
     "--resolution": st.sampled_from(("4", "8", "16")),
 }

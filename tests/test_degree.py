@@ -445,14 +445,8 @@ _FLOAT_ARGUMENTS = {
     "build_generating_function-cap": lambda x: build_generating_function(
         0, _SOURCES, x
     ),
-    "build_generating_function-merge_tol": lambda x: build_generating_function(
-        0, _SOURCES, 5.0, x
-    ),
     "leray_schauder_degree-cap": lambda x: leray_schauder_degree(_INSTANCE, cap=x),
     "leray_schauder_degree-tol": lambda x: leray_schauder_degree(_INSTANCE, tol=x),
-    "leray_schauder_degree-merge_tol": lambda x: leray_schauder_degree(
-        _INSTANCE, merge_tol=x
-    ),
     "locate_region-tol": lambda x: liouville.locate_region(
         0.5, CriticalSpectrum((1.0,)), x
     ),

@@ -318,6 +318,11 @@ def test_weights_reject_negative_strengths_and_factors():
         build_weights(
             WeightSpec((0.0,), SingularitySet.empty()), grid
         )
+    one_nan = np.ones((16, 16))
+    one_nan[3, 5] = np.nan
+    for factor in (np.nan, np.inf, one_nan):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            build_weights(WeightSpec((factor,), SingularitySet.empty()), grid)
 
 
 def test_weights_require_positions():
