@@ -12,7 +12,6 @@ from .degree import *
 from .errors import *
 from .matrix import *
 from .pohozaev import *
-from .series import *
 from .solver import *
 from .spectrum import *
 
@@ -23,7 +22,6 @@ __all__ = [
     *errors.__all__,
     *matrix.__all__,
     *pohozaev.__all__,
-    *series.__all__,
     *solver.__all__,
     *spectrum.__all__,
 ]

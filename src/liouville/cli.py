@@ -34,7 +34,6 @@ from .pohozaev import (
     pohozaev_residual,
     solve_mass_on_hypersurface,
 )
-from .series import build_generating_function
 from .solver import (
     FieldSet,
     TorusGrid,
@@ -42,7 +41,7 @@ from .solver import (
     solve_continuation,
     verify_solution,
 )
-from .spectrum import DEFAULT_CRITICAL_TOL, enumerate_spectrum
+from .spectrum import DEFAULT_CRITICAL_TOL, build_generating_function, enumerate_spectrum
 
 __all__ = ["main", "run"]
 
@@ -129,7 +128,7 @@ def _report_payload(report: ConditionReport) -> dict:
             {
                 "condition": v.condition,
                 "indices": list(v.indices),
-                "value": float(v.value) if math.isfinite(v.value) else None,
+                "value": v.value if math.isfinite(v.value) else None,
             }
             for v in report.violations
         ],
@@ -196,30 +195,22 @@ def _cmd_pohozaev(cfg: InstanceConfig, args) -> tuple[dict, int]:
         raise ConfigError("sigma", 'pohozaev needs "sigma" and "mu"')
     masses = MassVector(cfg.sigma, cfg.mu)
     payload: dict = {
-        "mu": float(cfg.mu),
-        "sigma": [float(x) for x in cfg.sigma],
+        "mu": cfg.mu,
+        "sigma": cfg.sigma.tolist(),
         "residual": pohozaev_residual(cfg.matrix, masses),
         "minimal_mass": _report_payload(minimal_mass_check(cfg.matrix, masses)),
     }
     if cfg.direction is not None:
         solved = solve_mass_on_hypersurface(cfg.matrix, cfg.mu, cfg.direction)
         payload["hypersurface"] = {
-            "sigma": [float(x) for x in solved.sigma],
+            "sigma": solved.sigma.tolist(),
             "residual": pohozaev_residual(cfg.matrix, solved),
         }
     return payload, 0
 
 
 def _solver_pieces(cfg: InstanceConfig, resolution: int):
-    surface = cfg.require_surface()
-    if surface.chi != 0:
-        raise ConfigError(
-            "surface", "the solver runs on the flat torus only (chi must be 0)"
-        )
-    if cfg.singularities.count and cfg.singularities.positions is None:
-        raise ConfigError(
-            "singularities", "the solver needs positions for every source"
-        )
+    cfg.require_surface()
     grid = TorusGrid(resolution)
     instance = cfg.instance()
     weights = WeightSpec.uniform(cfg.matrix.n, cfg.singularities)

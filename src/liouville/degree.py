@@ -28,11 +28,10 @@ from .errors import (
     ZeroMass,
 )
 from .matrix import InteractionMatrix, as_interaction_matrix, check_h1, check_h2
-from .series import build_generating_function
 from .spectrum import (
     DEFAULT_CRITICAL_TOL,
-    CriticalSpectrum,
     SingularitySet,
+    build_generating_function,
     locate_region,
 )
 
@@ -210,14 +209,13 @@ def leray_schauder_degree(
     if 0.0 < cap < q:
         raise OutOfRange(f"normalized energy {q!r} exceeds the cap {cap!r}")
     series = build_generating_function(p.surface.chi, p.singularities, cap)
-    spectrum = CriticalSpectrum(series.levels)
-    k = locate_region(q, spectrum, tol)
+    k = locate_region(q, series, tol)
     partial = (1,) + series.coefficients[:k]
     return DegreeResult(
         degree=int(sum(partial)),
         region_k=k,
         q_normalized=q,
-        nearest_levels=(spectrum.level(k), spectrum.level(k + 1)),
+        nearest_levels=(series.level(k), series.level(k + 1)),
         partial_coefficients=partial,
     )
 

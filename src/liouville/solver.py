@@ -314,6 +314,15 @@ def _require_shape(p: ProblemInstance, grid: TorusGrid, **arrays) -> None:
             )
 
 
+def _require_torus_problem(p: ProblemInstance, w: WeightSpec) -> None:
+    """ValueError unless the instance lives on the flat torus and the
+    weights carry the instance's own sources."""
+    if p.surface.chi != 0:
+        raise ValueError("the solver runs on the flat torus only (chi must be 0)")
+    if w.singularities != p.singularities:
+        raise ValueError("the weights carry other sources than the instance")
+
+
 def _coupling(p: ProblemInstance, t: float = 1.0) -> FloatGrid:
     """The coupling a_ij t rho_j at the mass t * rho."""
     return p.matrix.entries * (t * p.rho)[None, :]
@@ -452,8 +461,10 @@ def solve_continuation(
     Raises
     ------
     ValueError
-        If the target energy is not strictly below the first critical
-        level (the solver's validity region).
+        If the instance is not on the flat torus, the weights carry
+        other sources than the instance, or the target energy is not
+        strictly below the first critical level (the solver's validity
+        region).
     NoConvergence
         If a Newton stage exhausts its iteration budget.
     StepFailure
@@ -463,6 +474,7 @@ def solve_continuation(
         If the energy or a stage's starting residual norm leaves the
         double range.
     """
+    _require_torus_problem(p, w)
     q = normalized_energy(p.rho, p.matrix)
     # The lowest candidate level: one regular blow-up point or one source.
     n1 = min((1.0, *p.singularities.mus))
@@ -640,7 +652,10 @@ def verify_solution(
     """Consistency report for a candidate solution: per-component
     residual sizes, mean defects, the masses <h_i e^{v_i}> after the
     normalizing shift v_i = u_i - log<h_i e^{u_i}> (each must be 1), and
-    the functional value. Raises as ``residual`` does."""
+    the functional value. Raises as ``residual`` does, and as
+    ``solve_continuation`` does for an instance and weights it cannot
+    solve."""
+    _require_torus_problem(p, w)
     h = build_weights(w, grid)
     values = u.values
     _require_shape(p, grid, field=values, weights=h)

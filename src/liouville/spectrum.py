@@ -1,9 +1,11 @@
-"""Critical energy levels generated by topology and singular sources.
+"""Critical energy levels and the counting series they carry.
 
 Blowup analysis quantizes the admissible concentration energies: each
 level is 8*pi times an integer m plus 8*pi*(1+gamma_l) over a subset
 of the singular points. Everything here works with levels normalized
 by 8*pi, so a level is m + sum_{l in subset} (1 + gamma_l).
+The counting series (1-x)^(chi-N) * prod_l (1 - x^(1+gamma_l)) is a
+spectrum with a coefficient on each level, from the same enumeration.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from .errors import (
 __all__ = [
     "SingularitySet",
     "CriticalSpectrum",
+    "GeneralizedSeries",
     "enumerate_spectrum",
+    "build_generating_function",
     "locate_region",
 ]
 
@@ -88,15 +92,43 @@ class SingularitySet:
 
 @dataclass(frozen=True)
 class CriticalSpectrum:
-    """Strictly increasing normalized levels n_1 < n_2 < ... within (0, cap]."""
+    """Strictly increasing normalized levels n_1 < n_2 < ... within (0, cap].
+
+    Level i spans its merged candidates, from ``levels[i]`` to its last
+    member; ``tops`` pairs (i, last member) for each i where they differ.
+    """
 
     levels: tuple[float, ...]
+    tops: tuple[tuple[int, float], ...]
 
     def level(self, k: int) -> float:
         """n_k with the convention n_0 = 0."""
         if k == 0:
             return 0.0
         return self.levels[k - 1]
+
+
+@dataclass(frozen=True)
+class GeneralizedSeries(CriticalSpectrum):
+    """Finite sum of integer coefficients against real exponents.
+
+    The constant term is 1; ``coefficients[j]`` belongs to the critical
+    level ``levels[j]`` and is zero where its contributions cancel.
+    """
+
+    coefficients: tuple[int, ...]
+
+    def sorted_terms(self) -> list[tuple[float, int]]:
+        """(exponent value, coefficient) pairs in increasing exponent
+        order, zero coefficients left out."""
+        out = [(0.0, 1)]
+        out.extend(
+            (level, c) for level, c in zip(self.levels, self.coefficients) if c
+        )
+        return out
+
+    def constant_term(self) -> int:
+        return 1
 
 
 def enumerate_spectrum(
@@ -115,8 +147,25 @@ def enumerate_spectrum(
     TooManyLevels
         If (ceil(cap)+1) * 2^N candidates exceed ``DEFAULT_LEVEL_LIMIT``.
     """
-    levels, _ = _levels_and_coefficients(singularities, cap, merge_tol)
-    return CriticalSpectrum(levels)
+    return _levels_and_coefficients(singularities, cap, merge_tol)
+
+
+def build_generating_function(
+    chi: int,
+    singularities: SingularitySet,
+    cap: float,
+) -> GeneralizedSeries:
+    """Full counting series for Euler characteristic ``chi`` and the
+    given sources, truncated at ``cap``.
+
+    Raises as the spectrum does, and also ``ValueError`` if some
+    1+gamma_l is within the merge tolerance (the singular factor would
+    cancel the constant term) and ``CoefficientOverflow`` if a
+    coefficient leaves the signed 64-bit range.
+    """
+    return _levels_and_coefficients(
+        singularities, cap, exponent=int(chi) - singularities.count
+    )
 
 
 def _levels_and_coefficients(
@@ -124,7 +173,7 @@ def _levels_and_coefficients(
     cap: float,
     merge_tol: float = DEFAULT_MERGE_TOL,
     exponent: int | None = None,
-) -> tuple[tuple[float, ...], tuple[int, ...] | None]:
+) -> CriticalSpectrum:
     """The one enumeration of critical levels, shared by spectrum,
     series and degree.
 
@@ -134,10 +183,10 @@ def _levels_and_coefficients(
     merged once: a value joins the open level while it lies within
     ``merge_tol`` of the level's smallest member, which names the level.
 
-    With an ``exponent`` e, each level also gets its coefficient in
-    (1-x)^e * prod_l (1 - x^mu_l): the exact sum of (-1)^|S| c_m over
-    its candidates, c_m being the x^m coefficient of (1-x)^e. The
-    constant term c_0 = 1 is not a level.
+    With an ``exponent`` e, the result is a series whose levels carry
+    their coefficients in (1-x)^e * prod_l (1 - x^mu_l): the exact sum
+    of (-1)^|S| c_m over the candidates, c_m being the x^m coefficient
+    of (1-x)^e. The constant term c_0 = 1 is not a level.
 
     Raises
     ------
@@ -196,12 +245,18 @@ def _levels_and_coefficients(
     kept = kept[np.argsort(flat[kept])]
     values = flat[kept]
     starts = _level_starts(values, merge_tol)
-    levels = tuple(values[starts].tolist())
+    widths = np.diff(starts, append=values.size)
+    firsts = values[starts]
+    # Only a level of more than one candidate can end above its first.
+    lasts = values[starts + widths - 1] if values.size > firsts.size else firsts
+    wide = np.flatnonzero(lasts != firsts)
+    levels = tuple(firsts.tolist())
+    tops = tuple(zip(wide.tolist(), lasts[wide].tolist()))
     if exponent is None:
-        return levels, None
+        return CriticalSpectrum(levels, tops)
 
     m, j = np.divmod(kept, sums.size)
-    widest = int(np.diff(starts, append=values.size).max(initial=0))
+    widest = int(widths.max(initial=0))
     bound = max(map(abs, ladder)) * int(np.abs(signs).max()) * widest
     dtype = np.int64 if bound <= _INT64_MAX else object
     terms = signs.astype(dtype)[j] * np.array(ladder, dtype=dtype)[m]
@@ -209,7 +264,7 @@ def _levels_and_coefficients(
     if dtype is object:
         for level, c in zip(levels, coefficients):
             _check_int64(c, level)
-    return levels, tuple(coefficients)
+    return GeneralizedSeries(levels, tops, tuple(coefficients))
 
 
 def _level_starts(values: np.ndarray, merge_tol: float) -> np.ndarray:
@@ -276,7 +331,8 @@ def locate_region(
     ValueError
         If q is not positive or ``tol`` is not finite and nonnegative.
     OnCriticalSurface
-        If q lies within ``tol`` of some level n_k.
+        If q lies within ``tol`` of the span of some level n_k, from its
+        first to its last merged member.
     OutOfRange
         If q exceeds the largest enumerated level, so no upper neighbor
         is known.
@@ -289,9 +345,16 @@ def locate_region(
         )
     levels = spectrum.levels
     idx = bisect_left(levels, q)
-    for i in (idx - 1, idx):
-        if 0 <= i < len(levels) and abs(q - levels[i]) <= tol:
-            raise OnCriticalSurface(i + 1, levels[i], q)
+    # Spans are disjoint and ordered, and levels[idx - 1] < q <= levels[idx],
+    # so only the span of level idx - 1 can reach up to q.
+    if idx > 0:
+        j = bisect_left(spectrum.tops, (idx - 1,))
+        wide = j < len(spectrum.tops) and spectrum.tops[j][0] == idx - 1
+        last = spectrum.tops[j][1] if wide else levels[idx - 1]
+        if q - last <= tol:
+            raise OnCriticalSurface(idx, levels[idx - 1], q)
+    if idx < len(levels) and levels[idx] - q <= tol:
+        raise OnCriticalSurface(idx + 1, levels[idx], q)
     if idx >= len(levels):
         top = levels[-1] if levels else 0.0
         raise OutOfRange(

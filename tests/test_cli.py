@@ -778,6 +778,24 @@ def test_zero_critical_tolerance_counts_only_exact_hits(tmp_path, capsys):
         load_config(write_config(tmp_path, data))
 
 
+def test_zero_critical_tolerance_refuses_q_inside_a_merged_level(tmp_path, capsys):
+    # Level 2.3 merges (1 + 0.1) + (1 + 0.2) with 1 + (1.3 + 1e-10), and
+    # q lies between the two, so no region holds it at any tolerance.
+    data = {
+        "matrix": [[1.0]],
+        "surface": TORUS,
+        "singularities": [{"gamma": 0.1}, {"gamma": 0.2}, {"gamma": 1.3 + 1e-10}],
+        "rho": [8.0 * math.pi * (2.3 + 5e-11)],
+        "caps": {"tolerance": 0.0},
+    }
+    assert main(["degree", write_config(tmp_path, data)]) == 3
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert lines[0].startswith("error[OnCriticalSurface]: ")
+    assert lines[0].endswith("lies on critical level n_7 = 2.3")
+
+
 def reject_constant(name):
     raise AssertionError(f"{name} in the JSON output")
 

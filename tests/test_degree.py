@@ -180,8 +180,8 @@ def test_result_types_keep_only_what_is_read():
     def names(cls):
         return [f.name for f in dataclasses.fields(cls)]
 
-    assert names(CriticalSpectrum) == ["levels"]
-    assert names(GeneralizedSeries) == ["levels", "coefficients"]
+    assert names(CriticalSpectrum) == ["levels", "tops"]
+    assert names(GeneralizedSeries) == ["levels", "tops", "coefficients"]
     assert names(SurfaceSpec) == ["chi"]
     assert SurfaceSpec.torus() == SurfaceSpec.from_chi(0)
     assert SurfaceSpec.closed_surface(0) == SurfaceSpec.from_chi(2)
@@ -448,7 +448,7 @@ _FLOAT_ARGUMENTS = {
     "leray_schauder_degree-cap": lambda x: leray_schauder_degree(_INSTANCE, cap=x),
     "leray_schauder_degree-tol": lambda x: leray_schauder_degree(_INSTANCE, tol=x),
     "locate_region-tol": lambda x: liouville.locate_region(
-        0.5, CriticalSpectrum((1.0,)), x
+        0.5, CriticalSpectrum((1.0,), ()), x
     ),
     "SolverOptions-tol": lambda x: liouville.SolverOptions(tol=x),
     "MassVector-mu": lambda x: liouville.MassVector((1.0,), x),
@@ -474,7 +474,7 @@ def test_non_finite_arguments_raise_value_error(call, value):
 
 
 def test_package_exports_every_module_export():
-    modules = ("degree", "errors", "matrix", "pohozaev", "series", "solver", "spectrum")
+    modules = ("degree", "errors", "matrix", "pohozaev", "solver", "spectrum")
     union = set()
     for name in modules:
         union |= set(getattr(liouville, name).__all__)

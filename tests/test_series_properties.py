@@ -112,3 +112,67 @@ def test_permuting_sources_changes_nothing(gammas, chi, cap, data):
     assert degree_outcome(chi, shuffled, cap, q) == degree_outcome(
         chi, gammas, cap, q
     )
+
+
+def oracle_spans(gammas, cap):
+    """(first, last) member of each anchor-rule level up to the cap."""
+    mus = [1.0 + g for g in gammas]
+    raw = []
+    for m in range(math.floor(cap) + 1):
+        for mask in range(1 << len(mus)):
+            s = 0.0
+            for l, mu in enumerate(mus):
+                if mask >> l & 1:
+                    s += mu
+            if 0.0 < float(m) + s <= cap:
+                raw.append(float(m) + s)
+    spans = []
+    for value in sorted(raw):
+        if spans and value - spans[-1][0] <= MERGE_TOL:
+            spans[-1][1] = value
+        else:
+            spans.append([value, value])
+    return spans
+
+
+@st.composite
+def near_tie_strengths(draw):
+    """Up to 6 strengths, in chains spaced 0.3-0.9 merge tolerances apart,
+    so that subsets differing in one chain member give near-tied levels."""
+    gammas = []
+    count = draw(st.integers(1, 6))
+    while len(gammas) < count:
+        base = draw(st.floats(-0.6, 3.0))
+        for _ in range(min(draw(st.integers(1, 3)), count - len(gammas))):
+            gammas.append(base)
+            base += draw(st.floats(0.3, 0.9)) * MERGE_TOL
+    return gammas
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    gammas=near_tie_strengths(),
+    chi=chis,
+    cap=st.floats(1.0, 6.0),
+    tol=st.sampled_from([0.0, 1e-12, 1e-9, 1e-8]),
+    data=st.data(),
+)
+def test_no_degree_is_answered_from_inside_a_level(gammas, chi, cap, tol, data):
+    spans = oracle_spans(gammas, cap)
+    first, last = data.draw(st.sampled_from(spans))
+    # q at, between, or just beyond the first and last members.
+    q = first + data.draw(st.floats(-0.5, 1.5)) * (last - first)
+    q += data.draw(st.sampled_from([0.0, 5e-11, -5e-11, 1e-12, -1e-12]))
+    instance = ProblemInstance(
+        SurfaceSpec.from_chi(chi),
+        SingularitySet(tuple(gammas)),
+        InteractionMatrix([[1.0]]),
+        np.array([8.0 * math.pi * q]),
+    )
+    try:
+        result = leray_schauder_degree(instance, cap=cap, tol=tol)
+    except (OnCriticalSurface, OutOfRange):
+        return
+    q = result.q_normalized
+    # The distance from q to each span [first, last] exceeds tol.
+    assert not any(lo - q <= tol and q - hi <= tol for lo, hi in spans)

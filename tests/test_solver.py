@@ -800,6 +800,39 @@ def test_nineteen_sources_solve_below_the_first_level():
     assert result.residual_norm <= SolverOptions().tol
 
 
+_SOURCE = SingularitySet((1.0,), positions=((0.5, 0.5),))
+# Each solver entry point, called on an instance and weights.
+_SOLVER_ENTRIES = {
+    "solve_continuation": lambda p, w: solve_continuation(p, w, TorusGrid(16)),
+    "verify_solution": lambda p, w: verify_solution(
+        FieldSet.zeros(1, 16), p, w, TorusGrid(16)
+    ),
+}
+
+
+@pytest.mark.parametrize("call", _SOLVER_ENTRIES.values(), ids=_SOLVER_ENTRIES)
+def test_solver_refuses_a_surface_other_than_the_torus(call):
+    sphere = ProblemInstance(
+        SurfaceSpec.closed_surface(0), _SOURCE, InteractionMatrix([[1.0]]), (4.0,)
+    )
+    with pytest.raises(ValueError, match=r"flat torus only \(chi must be 0\)"):
+        call(sphere, WeightSpec.uniform(1, _SOURCE))
+
+
+@pytest.mark.parametrize(
+    "instance_sources, weight_sources",
+    [(_SOURCE, SingularitySet.empty()), (SingularitySet.empty(), _SOURCE)],
+    ids=["source-free-weights", "weights-with-a-source"],
+)
+@pytest.mark.parametrize("call", _SOLVER_ENTRIES.values(), ids=_SOLVER_ENTRIES)
+def test_solver_refuses_weights_with_other_sources(
+    call, instance_sources, weight_sources
+):
+    p = scalar_problem(4.0 * math.pi, instance_sources)
+    with pytest.raises(ValueError, match="other sources than the instance"):
+        call(p, WeightSpec.uniform(1, weight_sources))
+
+
 def test_solver_rejects_mismatched_weight_count():
     p = scalar_problem(1.0)
     with pytest.raises(ValueError):
