@@ -316,10 +316,10 @@ def _require_shape(p: ProblemInstance, grid: TorusGrid, **arrays) -> None:
 
 def _require_torus_problem(p: ProblemInstance, w: WeightSpec) -> None:
     """ValueError unless the instance lives on the flat torus and the
-    weights carry the instance's own sources."""
+    weights carry the instance's own source strengths."""
     if p.surface.chi != 0:
         raise ValueError("the solver runs on the flat torus only (chi must be 0)")
-    if w.singularities != p.singularities:
+    if w.singularities.gammas != p.singularities.gammas:
         raise ValueError("the weights carry other sources than the instance")
 
 

@@ -95,11 +95,12 @@ class CriticalSpectrum:
     """Strictly increasing normalized levels n_1 < n_2 < ... within (0, cap].
 
     Level i spans its merged candidates, from ``levels[i]`` to its last
-    member; ``tops`` pairs (i, last member) for each i where they differ.
+    member; ``tops`` maps i to that last member for each i where they
+    differ.
     """
 
     levels: tuple[float, ...]
-    tops: tuple[tuple[int, float], ...]
+    tops: dict[int, float]
 
     def level(self, k: int) -> float:
         """n_k with the convention n_0 = 0."""
@@ -245,18 +246,16 @@ def _levels_and_coefficients(
     kept = kept[np.argsort(flat[kept])]
     values = flat[kept]
     starts = _level_starts(values, merge_tol)
-    widths = np.diff(starts, append=values.size)
     firsts = values[starts]
-    # Only a level of more than one candidate can end above its first.
-    lasts = values[starts + widths - 1] if values.size > firsts.size else firsts
+    lasts = np.maximum.reduceat(values, starts)
     wide = np.flatnonzero(lasts != firsts)
     levels = tuple(firsts.tolist())
-    tops = tuple(zip(wide.tolist(), lasts[wide].tolist()))
+    tops = dict(zip(wide.tolist(), lasts[wide].tolist()))
     if exponent is None:
         return CriticalSpectrum(levels, tops)
 
     m, j = np.divmod(kept, sums.size)
-    widest = int(widths.max(initial=0))
+    widest = int(np.diff(starts, append=values.size).max(initial=0))
     bound = max(map(abs, ladder)) * int(np.abs(signs).max()) * widest
     dtype = np.int64 if bound <= _INT64_MAX else object
     terms = signs.astype(dtype)[j] * np.array(ladder, dtype=dtype)[m]
@@ -348,9 +347,7 @@ def locate_region(
     # Spans are disjoint and ordered, and levels[idx - 1] < q <= levels[idx],
     # so only the span of level idx - 1 can reach up to q.
     if idx > 0:
-        j = bisect_left(spectrum.tops, (idx - 1,))
-        wide = j < len(spectrum.tops) and spectrum.tops[j][0] == idx - 1
-        last = spectrum.tops[j][1] if wide else levels[idx - 1]
+        last = spectrum.tops.get(idx - 1, levels[idx - 1])
         if q - last <= tol:
             raise OnCriticalSurface(idx, levels[idx - 1], q)
     if idx < len(levels) and levels[idx] - q <= tol:

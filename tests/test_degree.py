@@ -448,7 +448,7 @@ _FLOAT_ARGUMENTS = {
     "leray_schauder_degree-cap": lambda x: leray_schauder_degree(_INSTANCE, cap=x),
     "leray_schauder_degree-tol": lambda x: leray_schauder_degree(_INSTANCE, tol=x),
     "locate_region-tol": lambda x: liouville.locate_region(
-        0.5, CriticalSpectrum((1.0,), ()), x
+        0.5, CriticalSpectrum((1.0,), {}), x
     ),
     "SolverOptions-tol": lambda x: liouville.SolverOptions(tol=x),
     "MassVector-mu": lambda x: liouville.MassVector((1.0,), x),

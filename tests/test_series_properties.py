@@ -14,6 +14,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_level_walk_properties import near_tie_strengths
+
 from liouville import (
     InteractionMatrix,
     OnCriticalSurface,
@@ -51,7 +53,9 @@ def truncated_power(e: int, top: int) -> list[int]:
     return acc
 
 
-def oracle_terms(chi, gammas, cap):
+def oracle_clusters(chi, gammas, cap):
+    """[first, last, coefficient] of each anchor-rule cluster of the
+    candidates up to the cap, the constant term's cluster first."""
     mus = [1.0 + g for g in gammas]
     top = math.floor(cap)
     ladder = truncated_power(chi - len(mus), top)
@@ -70,10 +74,15 @@ def oracle_terms(chi, gammas, cap):
     clusters = []
     for value, c in raw:
         if clusters and value - clusters[-1][0] <= MERGE_TOL:
-            clusters[-1][1] += c
+            clusters[-1][1] = value
+            clusters[-1][2] += c
         else:
-            clusters.append([value, c])
-    return [(v, c) for v, c in clusters if c != 0]
+            clusters.append([value, value, c])
+    return clusters
+
+
+def oracle_terms(chi, gammas, cap):
+    return [(v, c) for v, _, c in oracle_clusters(chi, gammas, cap) if c != 0]
 
 
 @property_settings
@@ -114,51 +123,18 @@ def test_permuting_sources_changes_nothing(gammas, chi, cap, data):
     )
 
 
-def oracle_spans(gammas, cap):
-    """(first, last) member of each anchor-rule level up to the cap."""
-    mus = [1.0 + g for g in gammas]
-    raw = []
-    for m in range(math.floor(cap) + 1):
-        for mask in range(1 << len(mus)):
-            s = 0.0
-            for l, mu in enumerate(mus):
-                if mask >> l & 1:
-                    s += mu
-            if 0.0 < float(m) + s <= cap:
-                raw.append(float(m) + s)
-    spans = []
-    for value in sorted(raw):
-        if spans and value - spans[-1][0] <= MERGE_TOL:
-            spans[-1][1] = value
-        else:
-            spans.append([value, value])
-    return spans
-
-
-@st.composite
-def near_tie_strengths(draw):
-    """Up to 6 strengths, in chains spaced 0.3-0.9 merge tolerances apart,
-    so that subsets differing in one chain member give near-tied levels."""
-    gammas = []
-    count = draw(st.integers(1, 6))
-    while len(gammas) < count:
-        base = draw(st.floats(-0.6, 3.0))
-        for _ in range(min(draw(st.integers(1, 3)), count - len(gammas))):
-            gammas.append(base)
-            base += draw(st.floats(0.3, 0.9)) * MERGE_TOL
-    return gammas
-
-
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
-    gammas=near_tie_strengths(),
+    case=near_tie_strengths().filter(lambda case: case[1] == MERGE_TOL),
     chi=chis,
     cap=st.floats(1.0, 6.0),
     tol=st.sampled_from([0.0, 1e-12, 1e-9, 1e-8]),
     data=st.data(),
 )
-def test_no_degree_is_answered_from_inside_a_level(gammas, chi, cap, tol, data):
-    spans = oracle_spans(gammas, cap)
+def test_no_degree_is_answered_from_inside_a_level(case, chi, cap, tol, data):
+    gammas, _ = case
+    # Each level's (first, last) member; the constant term is no level.
+    spans = [(lo, hi) for lo, hi, _ in oracle_clusters(chi, gammas, cap)[1:]]
     first, last = data.draw(st.sampled_from(spans))
     # q at, between, or just beyond the first and last members.
     q = first + data.draw(st.floats(-0.5, 1.5)) * (last - first)

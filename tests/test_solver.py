@@ -833,6 +833,20 @@ def test_solver_refuses_weights_with_other_sources(
         call(p, WeightSpec.uniform(1, weight_sources))
 
 
+def test_solver_reads_source_positions_from_the_weights_alone():
+    # Degree callers build instances without positions.
+    grid = TorusGrid(16)
+    w = WeightSpec.uniform(1, _SOURCE)
+    positionless = scalar_problem(4.0 * math.pi, SingularitySet(_SOURCE.gammas))
+    positioned = scalar_problem(4.0 * math.pi, _SOURCE)
+    got = solve_continuation(positionless, w, grid)
+    expected = solve_continuation(positioned, w, grid)
+    np.testing.assert_array_equal(got.fields.values, expected.fields.values)
+    assert verify_solution(got.fields, positionless, w, grid) == verify_solution(
+        got.fields, positioned, w, grid
+    )
+
+
 def test_solver_rejects_mismatched_weight_count():
     p = scalar_problem(1.0)
     with pytest.raises(ValueError):
