@@ -148,7 +148,7 @@ def normalized_energy(rho, a) -> float:
         raise ValueError(f"rho must be a vector of length {m.n}")
     if np.any(rho < 0.0):
         i = int(np.argmin(rho))
-        raise NegativeRho(f"rho[{i}] = {rho[i]!r} is negative")
+        raise NegativeRho(f"rho[{i}] = {float(rho[i])!r} is negative")
     quad, scale = _energy_terms(rho, m)
     if scale <= 0.0:
         raise ZeroMass("total mass sum(rho) must be positive")
@@ -233,7 +233,7 @@ def prescribed_masses(singularities: SingularitySet, a) -> FloatVector:
     if np.any(vec <= 0.0):
         i = int(np.argmin(vec))
         warnings.warn(
-            f"prescribed mass component {i} is {vec[i]!r} <= 0",
+            f"prescribed mass component {i} is {float(vec[i])!r} <= 0",
             NegativeMassWarning,
             stacklevel=2,
         )

@@ -8,8 +8,8 @@ is discretized on a uniform M x M grid over [0,1)^2 with mean-zero
 unknowns. Derivatives are exact on grid modes (FFT), integrals use the
 equal-weight quadrature (spectrally accurate on the torus), and the
 nonlinear system is path-followed in the total mass with a damped
-Newton iteration whose linear solves are GMRES, right-preconditioned by
-the inverse Laplacian. The solver only operates strictly below the first
+inexact Newton iteration whose linear solves are GMRES, right-preconditioned
+by the inverse Laplacian. The solver only operates strictly below the first
 critical energy level, where solutions stay bounded.
 """
 
@@ -64,7 +64,8 @@ MAX_STEPS = 10_000
 # test can patch them on this module.
 T_START = 0.1  # the first stage solves at T_START * rho
 MAX_NEWTON = 40  # Newton iterations per stage
-GMRES_RTOL = 1e-10  # true relative residual of each Newton direction
+GMRES_RTOL = 1e-10  # tightest true relative residual of a Newton direction
+ETA_MAX = 0.1  # loosest one: the first direction of each stage
 MAX_KRYLOV = 200  # Arnoldi steps per direction; the basis holds one more
 DAMPING_FLOOR = 1e-6  # smallest backtracking step before StepFailure
 
@@ -456,7 +457,10 @@ def solve_continuation(
     opts: SolverOptions = SolverOptions(),
 ) -> SolveResult:
     """Path-follow the mass from T_START * rho up to rho, solving each
-    stage with damped Newton started from the previous solution.
+    stage with damped Newton. From the second stage on, Newton starts
+    from the secant through the last two solutions, the first of which
+    may be u = 0 at t = 0; if that start fails, the stage runs again
+    from the previous solution.
 
     Raises
     ------
@@ -486,17 +490,31 @@ def solve_continuation(
     h = build_weights(w, grid)
     _require_shape(p, grid, weights=h)
     m = grid.resolution
-    u = np.zeros((p.matrix.n, m, m))
+    # u = 0 solves t = 0 exactly, so it stands for the stage before the first.
+    u = u_before = np.zeros((p.matrix.n, m, m))
+    t_last = t_before = 0.0
     diagnostics: list[StepDiagnostics] = []
     schedule = (
         np.array([1.0])
         if opts.steps == 1
         else np.linspace(T_START, 1.0, opts.steps)
     )
-    for t in schedule:
-        u, step_diag = _newton_stage(
-            u, float(t), _coupling(p, t), h, grid, opts.tol
-        )
+    for stage, t in enumerate(schedule):
+        t = float(t)
+        coupling = _coupling(p, t)
+        start = u
+        if stage > 0:
+            start = u + (t - t_last) / (t_last - t_before) * (u - u_before)
+            start -= start.mean(axis=(1, 2))[:, None, None]
+        try:
+            solved, step_diag = _newton_stage(start, t, coupling, h, grid, opts.tol)
+        except (NumericOverflow, StepFailure, NoConvergence):
+            if start is u:
+                raise
+            # A long extrapolation can leave Newton's basin even where its
+            # residual is lower than the previous solution's.
+            solved, step_diag = _newton_stage(u, t, coupling, h, grid, opts.tol)
+        t_before, u_before, t_last, u = t_last, u, t, solved
         diagnostics.append(step_diag)
     final_norm = diagnostics[-1].residual_history[-1]
     return SolveResult(FieldSet(u), tuple(diagnostics), final_norm)
@@ -534,6 +552,7 @@ def _newton_stage(
             f"masses or the coupling are too large for double precision"
         )
     history = [rnorm]
+    eta = ETA_MAX
     while rnorm > tol:
         if len(history) > MAX_NEWTON:
             raise NoConvergence(
@@ -541,7 +560,16 @@ def _newton_stage(
                 f"{MAX_NEWTON} Newton iterations",
                 rnorm,
             )
-        delta = _newton_direction(dens, means, coupling, grid, -r)
+        if len(history) > 1:
+            # Eisenstat-Walker choice 2 with their safeguard (SIAM J. Sci.
+            # Comput. 17 (1996) 16-32): as loose as the last contraction allows.
+            safeguard = 0.9 * eta**2
+            eta = min(ETA_MAX, 0.9 * (rnorm / history[-2]) ** 2)
+            if safeguard > 0.1:
+                eta = max(eta, safeguard)
+        # Solving below 0.5 tol / |r| buys nothing: the step then meets tol.
+        eta = max(eta, GMRES_RTOL, 0.5 * tol / rnorm)
+        delta = _newton_direction(dens, means, coupling, grid, -r, eta)
         # Backtrack: halve the step until the residual decreases; the
         # accepted trial and its evaluation become the next iterate.
         lam = 1.0
@@ -571,10 +599,12 @@ def _newton_direction(
     coupling: FloatGrid,
     grid: TorusGrid,
     rhs: FloatGrid,
+    rtol: float,
 ) -> FloatGrid:
-    """Newton step delta with J delta = rhs, right-preconditioned in
-    w = Delta delta: one inverse Laplacian per Krylov step and one more
-    for delta = Delta^{-1} w, and GMRES stops on the true residual."""
+    """Newton step delta with J delta = rhs to rtol relative,
+    right-preconditioned in w = Delta delta: one inverse Laplacian per
+    Krylov step and one more for delta = Delta^{-1} w, and GMRES stops on
+    the true residual."""
 
     def operator(w: FloatGrid) -> FloatGrid:
         delta = grid.inverse_laplacian(w)
@@ -587,7 +617,7 @@ def _newton_direction(
         )
         return w + np.einsum("ij,jxy->ixy", coupling, term)
 
-    w, _, _ = _gmres(operator, rhs, GMRES_RTOL, MAX_KRYLOV)
+    w, _, _ = _gmres(operator, rhs, rtol, MAX_KRYLOV)
     # An inexact direction is acceptable: backtracking rejects bad steps.
     return grid.inverse_laplacian(w)
 

@@ -846,6 +846,14 @@ def test_values_beyond_the_double_range_give_one_error_line(
     assert_single_error_line(capsys, "NumericOverflow")
 
 
+def test_a_negative_mass_is_quoted_as_a_plain_float(tmp_path, capsys):
+    data = {"matrix": EXCHANGE, "surface": {"chi": 0}, "rho": [-1.0, 2.0]}
+    assert main(["degree", write_config(tmp_path, data)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error[NegativeRho]: rho[0] = -1.0 is negative\n"
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("scale", [1e300, 1e-300])
 def test_hypersurface_masses_ignore_the_scale_of_the_direction(tmp_path, capsys, scale):

@@ -326,6 +326,15 @@ def test_prescribed_masses_no_sources_warns_on_zero_vector():
     np.testing.assert_allclose(out, [0.0])
 
 
+def test_mass_messages_quote_plain_floats():
+    with pytest.raises(NegativeRho) as info:
+        normalized_energy([-1.0, 2.0], EXCHANGE)
+    assert str(info.value) == "rho[0] = -1.0 is negative"
+    with pytest.warns(NegativeMassWarning) as caught:
+        prescribed_masses(SingularitySet.empty(), [[1.0]])
+    assert str(caught[0].message) == "prescribed mass component 0 is 0.0 <= 0"
+
+
 def test_prescribed_masses_match_the_special_route():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

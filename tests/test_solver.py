@@ -9,6 +9,7 @@ must shrink at the grid-squared rate.
 
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from liouville import (
     verify_solution,
 )
 from liouville import solver
+from liouville.config import load_config
 from liouville.solver import (
     MAX_RESOLUTION,
     MAX_STEPS,
@@ -620,17 +622,33 @@ def test_gmres_returns_zero_for_a_zero_right_hand_side():
     assert x.shape == (2, 4, 4) and not np.any(x)
 
 
+def forcing_terms(history, tol):
+    """The relative tolerance of each Newton direction of a stage with this
+    residual history: Eisenstat-Walker choice 2 with their safeguard, from
+    ETA_MAX, floored at GMRES_RTOL and at 0.5 tol / |r_k|."""
+    etas = []
+    for k, norm in enumerate(history[:-1]):
+        eta = solver.ETA_MAX
+        if k > 0:
+            eta = min(solver.ETA_MAX, 0.9 * (norm / history[k - 1]) ** 2)
+            if 0.9 * etas[-1] ** 2 > 0.1:
+                eta = max(eta, 0.9 * etas[-1] ** 2)
+        etas.append(max(eta, RTOL, 0.5 * tol / norm))
+    return etas
+
+
 def test_newton_directions_meet_the_krylov_tolerance(monkeypatch):
     # The README problem at M = 64. The Jacobian of the residual, applied
     # without preconditioning, maps each direction onto the right-hand
-    # side to 10 * GMRES_RTOL. Its range is the mean-zero fields, so the
+    # side to the forcing term the direction was given, and to no less
+    # than 10 * GMRES_RTOL. Its range is the mean-zero fields, so the
     # target is the mean-zero part of -R: the mean of R is rounding.
     records = []
     direction = solver._newton_direction
 
-    def recording(dens, means, coupling, grid, rhs):
-        delta = direction(dens, means, coupling, grid, rhs)
-        records.append((dens, means, coupling, grid, rhs, delta))
+    def recording(dens, means, coupling, grid, rhs, rtol):
+        delta = direction(dens, means, coupling, grid, rhs, rtol)
+        records.append((dens, means, coupling, grid, rhs, rtol, delta))
         return delta
 
     monkeypatch.setattr(solver, "_newton_direction", recording)
@@ -638,14 +656,20 @@ def test_newton_directions_meet_the_krylov_tolerance(monkeypatch):
     result = solve_continuation(
         scalar_problem(4.0 * math.pi, sing), WeightSpec.uniform(1, sing), TorusGrid(64)
     )
-    assert sum(step.newton_iterations for step in result.steps) == len(records) == 23
-    for dens, means, coupling, grid, rhs, delta in records:
+    assert sum(step.newton_iterations for step in result.steps) == len(records) == 29
+    etas = [
+        eta
+        for step in result.steps
+        for eta in forcing_terms(step.residual_history, SolverOptions().tol)
+    ]
+    assert [record[5] for record in records] == etas
+    for (dens, means, coupling, grid, rhs, _, delta), eta in zip(records, etas):
         weighted = dens * delta
         inner = weighted.mean(axis=(1, 2))
         term = weighted / means[:, None, None] - dens * (inner / means**2)[:, None, None]
         jdelta = np.einsum("ij,jxy->ixy", coupling, term) + grid.laplacian(delta)
         b = rhs - rhs.mean(axis=(1, 2))[:, None, None]
-        assert np.linalg.norm(jdelta - b) <= 10.0 * RTOL * np.linalg.norm(b)
+        assert np.linalg.norm(jdelta - b) <= max(eta, 10.0 * RTOL) * np.linalg.norm(b)
 
 
 # -------------------------------------------------------------- the solver
@@ -916,6 +940,83 @@ def test_single_step_schedule_solves_the_full_problem():
     assert len(result.steps) == 1
     assert result.steps[0].t == 1.0
     assert result.residual_norm <= 1e-8
+
+
+@pytest.mark.parametrize("name, ceiling", [("readme_solve", 260), ("pair_solve", 170)])
+def test_a_solve_stays_under_its_transform_ceiling(monkeypatch, name, ceiling):
+    # Planes of rfft2 and irfft2, counted as in the functional's test.
+    # Without forcing terms and the secant predictor these solves ran 402
+    # and 276 planes.
+    cfg = load_config(Path(__file__).parent / "data" / f"{name}.json")
+    weights = WeightSpec.uniform(cfg.matrix.n, cfg.singularities)
+    planes = []
+    for transform_name in ("rfft2", "irfft2"):
+        transform = getattr(np.fft, transform_name)
+
+        def counting(x, *args, _transform=transform, **kwargs):
+            x = np.asarray(x)
+            planes.append(x.size // (x.shape[-2] * x.shape[-1]))
+            return _transform(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, transform_name, counting)
+    result = solve_continuation(
+        cfg.instance(), weights, TorusGrid(cfg.resolution), cfg.solver
+    )
+    assert all(s.residual_history[-1] <= cfg.solver.tol for s in result.steps)
+    assert 0 < sum(planes) <= ceiling
+
+
+def test_a_failed_prediction_reruns_the_stage_from_the_last_solution(monkeypatch):
+    # q = 0.93 on a coarse grid with three strong sources. The second
+    # stage's secant start extrapolates 9x from t = 0.1 to t = 1 and ends
+    # at the damping floor; started from the t = 0.1 solution, it solves.
+    sing = SingularitySet(
+        (1.31, 1.45, 2.45),
+        positions=((0.013, 0.267), (0.645, 0.624), (0.798, 0.998)),
+    )
+    a = InteractionMatrix([[0.46330179243783937, 1.20350536873028], [1.20350536873028, 0.0]])
+    p = ProblemInstance(TORUS, sing, a, (13.881238839261139, 23.42694304615792))
+    w, grid, opts = WeightSpec.uniform(2, sing), TorusGrid(16), SolverOptions(tol=1e-6, steps=2)
+    stages = []
+    stage = solver._newton_stage
+
+    def recording(u, t, *args):
+        try:
+            solved = stage(u, t, *args)
+        except StepFailure:
+            stages.append((t, "StepFailure"))
+            raise
+        stages.append((t, "solved"))
+        return solved
+
+    monkeypatch.setattr(solver, "_newton_stage", recording)
+    result = solve_continuation(p, w, grid, opts)
+    assert stages == [(0.1, "solved"), (1.0, "StepFailure"), (1.0, "solved")]
+    assert all(s.residual_history[-1] <= opts.tol for s in result.steps)
+    report = verify_solution(result.fields, p, w, grid)
+    assert report.residual_norm <= opts.tol
+    np.testing.assert_allclose(report.normalized_masses, 1.0, atol=1e-12)
+
+
+def test_a_failed_rerun_raises_its_own_error(monkeypatch):
+    p, w = sine_weight_problem()
+    starts, solved = [], []
+    stage = solver._newton_stage
+
+    def failing_after_the_first(u, t, *args):
+        starts.append(u.copy())
+        if len(starts) > 1:
+            raise NoConvergence(f"attempt {len(starts)}", float(len(starts)))
+        solved.append(stage(u, t, *args))
+        return solved[-1]
+
+    monkeypatch.setattr(solver, "_newton_stage", failing_after_the_first)
+    with pytest.raises(NoConvergence, match="attempt 3") as info:
+        solve_continuation(p, w, TorusGrid(16), SolverOptions(steps=2))
+    assert info.value.residual == 3.0
+    assert len(starts) == 3
+    assert np.array_equal(starts[2], solved[0][0])
+    assert not np.array_equal(starts[1], solved[0][0])
 
 
 # Explicit ids keep each case's name fixed when cases are added or dropped.
