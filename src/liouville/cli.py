@@ -43,7 +43,7 @@ from .solver import (
 )
 from .spectrum import DEFAULT_CRITICAL_TOL, build_generating_function, enumerate_spectrum
 
-__all__ = ["main", "run"]
+__all__ = ["main"]
 
 _EXIT_CODES = (
     (HypothesisViolation, 2),
@@ -79,11 +79,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error[BrokenPipeError]: {exc}", file=sys.stderr)
         return 1
     return code
-
-
-def run(command: str, config_path: str, *flags: str) -> int:
-    """Programmatic entry point mirroring the command line."""
-    return main([command, config_path, *flags])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -295,8 +290,6 @@ def _human_lines(value, indent: int) -> list[str]:
                 lines.append(f"{pad}{item}")
         while lines and lines[-1] == "":
             lines.pop()
-    else:
-        lines.append(f"{pad}{value}")
     return lines
 
 

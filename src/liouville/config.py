@@ -38,23 +38,16 @@ class InstanceConfig:
     mu: float | None
     direction: np.ndarray | None
 
-    def require_rho(self) -> np.ndarray:
-        if self.rho is None:
-            raise ConfigError("rho", "this command needs the mass vector")
-        return self.rho
-
     def require_surface(self) -> SurfaceSpec:
         if self.surface is None:
             raise ConfigError("surface", "this command needs the topology")
         return self.surface
 
     def instance(self) -> ProblemInstance:
-        return ProblemInstance(
-            self.require_surface(),
-            self.singularities,
-            self.matrix,
-            self.require_rho(),
-        )
+        surface = self.require_surface()
+        if self.rho is None:
+            raise ConfigError("rho", "this command needs the mass vector")
+        return ProblemInstance(surface, self.singularities, self.matrix, self.rho)
 
 
 def load_config(path: str | Path) -> InstanceConfig:

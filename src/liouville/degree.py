@@ -212,7 +212,7 @@ def leray_schauder_degree(
     k = locate_region(q, series, tol)
     partial = (1,) + series.coefficients[:k]
     return DegreeResult(
-        degree=int(sum(partial)),
+        degree=sum(partial),
         region_k=k,
         q_normalized=q,
         nearest_levels=(series.level(k), series.level(k + 1)),

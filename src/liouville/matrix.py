@@ -19,7 +19,6 @@ __all__ = [
     "InteractionMatrix",
     "Violation",
     "ConditionReport",
-    "invert",
     "irreducible",
     "check_h1",
     "check_h2",
@@ -125,11 +124,6 @@ def as_interaction_matrix(a) -> InteractionMatrix:
     if isinstance(a, InteractionMatrix):
         return a
     return InteractionMatrix(a)
-
-
-def invert(a) -> FloatMatrix:
-    """Inverse entries of the coupling matrix (cached on the instance)."""
-    return as_interaction_matrix(a).inverse()
 
 
 def irreducible(a) -> bool:

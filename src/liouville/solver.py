@@ -82,7 +82,8 @@ class TorusGrid:
     """
 
     def __init__(self, resolution: int = DEFAULT_RESOLUTION) -> None:
-        m = int(resolution)
+        # A fraction, NaN or infinity stays as given and fails below.
+        m = int(resolution) if resolution % 1 == 0 else resolution
         if m <= 0 or m % 2 != 0 or m > MAX_RESOLUTION:
             raise ValueError(
                 f"resolution must be a positive even integer at most "
@@ -110,10 +111,6 @@ class TorusGrid:
                     self._gradient_weight):
             arr.setflags(write=False)
 
-    def integrate(self, f: FloatGrid) -> float:
-        """Quadrature over the torus; exact volume normalization."""
-        return float(np.mean(f))
-
     def laplacian(self, f: FloatGrid) -> FloatGrid:
         return self._apply(self._symbol, f)
 
@@ -127,14 +124,10 @@ class TorusGrid:
 
     def gradient_inner(self, f: FloatGrid, g: FloatGrid) -> float:
         """Integral of grad f . grad g over the torus, via the mode sums."""
-        return self._mode_inner(self._modes(f), self._modes(g))
-
-    def _modes(self, f: FloatGrid) -> np.ndarray:
-        """Fourier modes of f over its last two axes, as _mode_inner reads them."""
-        return np.fft.rfft2(f)
+        return self._mode_inner(np.fft.rfft2(f), np.fft.rfft2(g))
 
     def _mode_inner(self, fh: np.ndarray, gh: np.ndarray) -> float:
-        """gradient_inner(f, g) from fh = _modes(f) and gh = _modes(g)."""
+        """gradient_inner(f, g) from fh = rfft2(f) and gh = rfft2(g)."""
         return float(np.sum(self._gradient_weight * np.real(fh * np.conj(gh))))
 
     def __repr__(self) -> str:
@@ -170,10 +163,6 @@ class FieldSet:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def zeros(cls, n: int, resolution: int) -> "FieldSet":
-        return cls(np.zeros((n, resolution, resolution)))
-
     @property
     def n(self) -> int:
         return self.values.shape[0]
@@ -201,10 +190,6 @@ class WeightSpec:
             tuple([None] * n),
             singularities if singularities is not None else SingularitySet.empty(),
         )
-
-    @property
-    def n(self) -> int:
-        return len(self.smooth_factors)
 
 
 def green_function(grid: TorusGrid, q: tuple[float, float]) -> FloatGrid:
@@ -280,8 +265,6 @@ def build_weights(w: WeightSpec, grid: TorusGrid) -> FloatGrid:
             raise ValueError("singular positions coincide on the torus")
         factor = np.ones((m, m))
         for (px, py), gamma in zip(wrapped, sing.gammas):
-            if gamma == 0.0:
-                continue
             factor = factor * singular_weight(grid, (px, py)) ** gamma
         h = h * factor[None, :, :]
     return h
@@ -394,7 +377,7 @@ def _energy(
 ) -> float:
     """functional_J from the quadratures means = <h_i e^{u_i}> of values."""
     inv = p.matrix.inverse()
-    modes = grid._modes(values)
+    modes = np.fft.rfft2(values)
     quad = 0.0
     # Summed row-major over the nonzero a^{ij}, from one transform per component.
     for i, j in zip(*np.nonzero(inv)):
@@ -429,6 +412,8 @@ class SolverOptions:
     def __post_init__(self) -> None:
         if not 0.0 < self.tol <= sys.float_info.max:
             raise ValueError(f"tol = {self.tol!r} must be finite and > 0")
+        if type(self.steps) is bool or not isinstance(self.steps, (int, np.integer)):
+            raise ValueError(f"steps = {self.steps!r} must be an integer")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
         if self.steps > MAX_STEPS:
@@ -561,12 +546,11 @@ def _newton_stage(
                 rnorm,
             )
         if len(history) > 1:
-            # Eisenstat-Walker choice 2 with their safeguard (SIAM J. Sci.
-            # Comput. 17 (1996) 16-32): as loose as the last contraction allows.
-            safeguard = 0.9 * eta**2
+            # Eisenstat-Walker choice 2 (SIAM J. Sci. Comput. 17 (1996)
+            # 16-32): as loose as the last contraction allows. Their safeguard
+            # 0.9 eta_prev^2 acts only past eta_prev = 1/3, which only the
+            # floor below reaches, and that floor rises as |r| falls.
             eta = min(ETA_MAX, 0.9 * (rnorm / history[-2]) ** 2)
-            if safeguard > 0.1:
-                eta = max(eta, safeguard)
         # Solving below 0.5 tol / |r| buys nothing: the step then meets tol.
         eta = max(eta, GMRES_RTOL, 0.5 * tol / rnorm)
         delta = _newton_direction(dens, means, coupling, grid, -r, eta)
@@ -577,7 +561,7 @@ def _newton_stage(
             trial = u + lam * delta
             trial -= trial.mean(axis=(1, 2))[:, None, None]
             evaluated = _evaluate(trial, coupling, h, grid)
-            if math.isfinite(evaluated[1]) and evaluated[1] < rnorm:
+            if evaluated[1] < rnorm:  # false for a NaN or inf norm
                 break
             lam *= 0.5
         else:

@@ -128,9 +128,6 @@ class GeneralizedSeries(CriticalSpectrum):
         )
         return out
 
-    def constant_term(self) -> int:
-        return 1
-
 
 def enumerate_spectrum(
     singularities: SingularitySet,

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from liouville import ConfigError, fieldio
-from liouville.cli import main, run
+from liouville.cli import main
 from liouville.config import load_config
 from liouville.solver import MAX_RESOLUTION, MAX_STEPS
 
@@ -246,8 +246,11 @@ def test_instance_requires_surface_and_rho(tmp_path):
     cfg = load_config(write_config(tmp_path, {"matrix": [[1.0]]}))
     with pytest.raises(ConfigError, match="surface"):
         cfg.require_surface()
+    cfg = load_config(
+        write_config(tmp_path, {"matrix": [[1.0]], "surface": {"chi": 0}})
+    )
     with pytest.raises(ConfigError, match="rho"):
-        cfg.require_rho()
+        cfg.instance()
 
 
 # ------------------------------------------------------------ field dumps
@@ -869,12 +872,6 @@ def test_hypersurface_masses_ignore_the_scale_of_the_direction(tmp_path, capsys,
 
 
 # -------------------------------------------------------------- interface
-
-
-def test_run_wrapper_matches_main(tmp_path, capsys):
-    p = write_config(tmp_path, {"matrix": [[1.0]]})
-    assert run("spectrum", p, "--cap", "2.5") == 0
-    assert "levels" in capsys.readouterr().out
 
 
 def test_human_readable_output(tmp_path, capsys):

@@ -460,6 +460,7 @@ _FLOAT_ARGUMENTS = {
         0.5, CriticalSpectrum((1.0,), {}), x
     ),
     "SolverOptions-tol": lambda x: liouville.SolverOptions(tol=x),
+    "SolverOptions-steps": lambda x: liouville.SolverOptions(steps=x),
     "MassVector-mu": lambda x: liouville.MassVector((1.0,), x),
     "SingularitySet-gamma": lambda x: SingularitySet((x,)),
     "SingularitySet-position": lambda x: SingularitySet((0.0,), ((x, 0.0),)),
@@ -480,6 +481,69 @@ def test_non_finite_arguments_raise_value_error(call, value):
     # An int beyond the double range must not escape as OverflowError.
     with pytest.raises(ValueError):
         call(value)
+
+
+# Each input check with the ValueError text it gives.
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        pytest.param(
+            lambda: SurfaceSpec.closed_surface(-1),
+            "genus must be nonnegative",
+            id="closed_surface-genus",
+        ),
+        pytest.param(
+            lambda: SurfaceSpec.planar_domain(-1),
+            "holes must be nonnegative",
+            id="planar_domain-holes",
+        ),
+        pytest.param(
+            lambda: ProblemInstance(
+                SurfaceSpec.torus(), _SOURCES, InteractionMatrix(EXCHANGE), (1.0,)
+            ),
+            "rho must be a vector of length 2",
+            id="ProblemInstance-rho-length",
+        ),
+        pytest.param(
+            lambda: ProblemInstance(
+                SurfaceSpec.torus(),
+                _SOURCES,
+                InteractionMatrix(EXCHANGE),
+                (1.0, math.inf),
+            ),
+            "rho entries must be finite",
+            id="ProblemInstance-rho-finite",
+        ),
+        pytest.param(
+            lambda: normalized_energy((1.0,), EXCHANGE),
+            "rho must be a vector of length 2",
+            id="normalized_energy-rho-length",
+        ),
+        pytest.param(
+            lambda: InteractionMatrix(np.zeros((0, 0))),
+            "expected a nonempty matrix",
+            id="InteractionMatrix-empty",
+        ),
+        pytest.param(
+            lambda: liouville.MassVector([[1.0, 2.0]], 2.0),
+            "sigma must be a vector",
+            id="MassVector-sigma-2d",
+        ),
+        pytest.param(
+            lambda: liouville.solve_mass_on_hypersurface(EXCHANGE, 1.0, (1.0,)),
+            "direction must be a vector of length 2",
+            id="solve_mass_on_hypersurface-direction-length",
+        ),
+        pytest.param(
+            lambda: liouville.FieldSet(np.zeros((1, 8, 4))),
+            r"expected shape \(n, M, M\), got \(1, 8, 4\)",
+            id="FieldSet-non-square",
+        ),
+    ],
+)
+def test_input_checks_refuse_malformed_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_package_exports_every_module_export():

@@ -18,7 +18,6 @@ from liouville import (
     Violation,
     check_h1,
     check_h2,
-    invert,
     irreducible,
 )
 
@@ -34,13 +33,13 @@ def a1_pattern(a1: float, a2: float, a3: float) -> list[list[float]]:
 
 def test_invert_permutation_is_self_inverse():
     np.testing.assert_allclose(
-        invert([[0.0, 1.0], [1.0, 0.0]]), [[0.0, 1.0], [1.0, 0.0]]
+        InteractionMatrix([[0.0, 1.0], [1.0, 0.0]]).inverse(), [[0.0, 1.0], [1.0, 0.0]]
     )
 
 
 def test_invert_rank_one_raises():
     with pytest.raises(SingularMatrix):
-        invert([[1.0, 1.0], [1.0, 1.0]])
+        InteractionMatrix([[1.0, 1.0], [1.0, 1.0]]).inverse()
 
 
 def test_invert_symmetric_three_component_pattern():
@@ -49,7 +48,7 @@ def test_invert_symmetric_three_component_pattern():
         [0.5, -0.5, 0.5],
         [0.5, 0.5, -0.5],
     ]
-    got = invert(A1_ONES)
+    got = InteractionMatrix(A1_ONES).inverse()
     np.testing.assert_allclose(got, expected, atol=1e-14)
     np.testing.assert_allclose(
         np.asarray(A1_ONES) @ got, np.eye(3), atol=1e-14
@@ -277,7 +276,7 @@ def test_a1_closed_form_inverse_matches():
             ]
         ) / (2.0 * a1 * a2 * a3)
         np.testing.assert_allclose(
-            invert(a1_pattern(a1, a2, a3)), expected, atol=1e-12
+            InteractionMatrix(a1_pattern(a1, a2, a3)).inverse(), expected, atol=1e-12
         )
 
 

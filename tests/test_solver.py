@@ -76,9 +76,16 @@ def test_grid_requires_positive_even_resolution():
         TorusGrid(MAX_RESOLUTION + 2)
 
 
-def test_quadrature_has_unit_volume():
-    grid = TorusGrid(16)
-    assert grid.integrate(np.ones((16, 16))) == 1.0
+@pytest.mark.parametrize(
+    "resolution", [64.9, math.nan, math.inf], ids=["fraction", "nan", "inf"]
+)
+def test_grid_refuses_a_resolution_that_is_not_whole(resolution):
+    with pytest.raises(
+        ValueError,
+        match=f"resolution must be a positive even integer at most "
+        f"{MAX_RESOLUTION}, got {resolution}",
+    ):
+        TorusGrid(resolution)
 
 
 def test_laplacian_is_exact_on_fourier_modes():
@@ -118,7 +125,7 @@ def test_gradient_inner_matches_integration_by_parts():
     f = band_limited_noise(grid, rng)
     g = band_limited_noise(grid, rng)
     lhs = grid.gradient_inner(f, g)
-    rhs = -grid.integrate(grid.laplacian(f) * g)
+    rhs = -np.mean(grid.laplacian(f) * g)
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
@@ -165,14 +172,14 @@ def test_fieldset_rejects_non_finite_values(entries):
 
 
 def test_fieldset_zeros_constructor():
-    f = FieldSet.zeros(2, 8)
+    f = FieldSet(np.zeros((2, 8, 8)))
     assert f.n == 2
     assert f.resolution == 8
     assert np.all(f.values == 0.0)
 
 
 def test_fieldset_values_are_read_only():
-    f = FieldSet.zeros(1, 8)
+    f = FieldSet(np.zeros((1, 8, 8)))
     with pytest.raises(ValueError):
         f.values[0, 0, 0] = 1.0
 
@@ -341,7 +348,7 @@ def test_residual_vanishes_at_zero_field_with_constant_weights():
     grid = TorusGrid(16)
     p = scalar_problem(5.0)
     h = build_weights(WeightSpec.uniform(1), grid)
-    r = residual(FieldSet.zeros(1, 16), p, h, grid)
+    r = residual(FieldSet(np.zeros((1, 16, 16))), p, h, grid)
     assert np.max(np.abs(r.values)) == 0.0
 
 
@@ -354,7 +361,7 @@ def test_residual_at_zero_field_reduces_to_the_forcing():
     g2 = 1.0 + 0.25 * np.cos(2 * np.pi * grid.y)
     w = WeightSpec((g1, g2), SingularitySet.empty())
     h = build_weights(w, grid)
-    r = residual(FieldSet.zeros(2, 32), p, h, grid)
+    r = residual(FieldSet(np.zeros((2, 32, 32))), p, h, grid)
     forcing = np.stack([h[0] / h[0].mean() - 1.0, h[1] / h[1].mean() - 1.0])
     expected = np.stack(
         [rho[1] * forcing[1], rho[0] * forcing[0]]
@@ -378,7 +385,7 @@ def test_residual_guards_against_vanishing_density():
     p = scalar_problem(1.0)
     h = np.zeros((1, 16, 16))
     with pytest.raises(ZeroMassDensity, match=r"= 0\.0 is not positive"):
-        residual(FieldSet.zeros(1, 16), p, h, grid)
+        residual(FieldSet(np.zeros((1, 16, 16))), p, h, grid)
 
 
 # -------------------------------------------------------------- functional
@@ -388,7 +395,7 @@ def test_functional_zero_field_uniform_weights():
     grid = TorusGrid(16)
     p = scalar_problem(7.0)
     h = build_weights(WeightSpec.uniform(1), grid)
-    assert functional_J(FieldSet.zeros(1, 16), p, h, grid) == 0.0
+    assert functional_J(FieldSet(np.zeros((1, 16, 16))), p, h, grid) == 0.0
 
 
 def test_functional_single_mode_closed_form():
@@ -829,7 +836,7 @@ _SOURCE = SingularitySet((1.0,), positions=((0.5, 0.5),))
 _SOLVER_ENTRIES = {
     "solve_continuation": lambda p, w: solve_continuation(p, w, TorusGrid(16)),
     "verify_solution": lambda p, w: verify_solution(
-        FieldSet.zeros(1, 16), p, w, TorusGrid(16)
+        FieldSet(np.zeros((1, 16, 16))), p, w, TorusGrid(16)
     ),
 }
 
@@ -1030,6 +1037,9 @@ def test_a_failed_rerun_raises_its_own_error(monkeypatch):
         pytest.param({"steps": -1}, id="bad4"),
         pytest.param({"steps": 0}, id="bad5"),
         pytest.param({"steps": MAX_STEPS + 1}, id="bad14"),
+        pytest.param({"steps": 2.5}, id="fractional-steps"),
+        pytest.param({"steps": 10.0}, id="float-steps"),
+        pytest.param({"steps": True}, id="bool-steps"),
     ],
 )
 def test_solver_options_reject_bad_values(bad):
@@ -1049,7 +1059,7 @@ def test_verify_zero_field_uniform_weights():
     grid = TorusGrid(16)
     p = scalar_problem(3.0)
     w = WeightSpec.uniform(1)
-    report = verify_solution(FieldSet.zeros(1, 16), p, w, grid)
+    report = verify_solution(FieldSet(np.zeros((1, 16, 16))), p, w, grid)
     assert report.normalized_masses == (1.0,)
     assert report.residual_norm == 0.0
     assert report.functional_value == 0.0
@@ -1107,7 +1117,7 @@ def test_field_functions_refuse_mismatched_shapes(matrix, field_n, weight_n, fie
     grid = TorusGrid(16)
     a = InteractionMatrix(matrix)
     p = ProblemInstance(TORUS, SingularitySet.empty(), a, (1.0,) * a.n)
-    u = FieldSet.zeros(field_n, field_m)
+    u = FieldSet(np.zeros((field_n, field_m, field_m)))
     w = WeightSpec.uniform(weight_n)
     h = build_weights(w, grid)
     for call in (residual, functional_J, functional_gradient):
