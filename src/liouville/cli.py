@@ -205,9 +205,8 @@ def _cmd_pohozaev(cfg: InstanceConfig, args) -> tuple[dict, int]:
 
 
 def _solver_pieces(cfg: InstanceConfig, resolution: int):
-    cfg.require_surface()
-    grid = TorusGrid(resolution)
     instance = cfg.instance()
+    grid = TorusGrid(resolution)
     weights = WeightSpec.uniform(cfg.matrix.n, cfg.singularities)
     return instance, weights, grid
 
@@ -238,12 +237,6 @@ def _cmd_solve(cfg: InstanceConfig, args) -> tuple[dict, int]:
 
 def _cmd_verify(cfg: InstanceConfig, args) -> tuple[dict, int]:
     values = fieldio.read_binary(args.field)
-    if values.shape[0] != cfg.matrix.n:
-        raise ConfigError(
-            "--field",
-            f"dump has {values.shape[0]} components, config expects "
-            f"{cfg.matrix.n}",
-        )
     instance, weights, grid = _solver_pieces(cfg, int(values.shape[1]))
     report = verify_solution(FieldSet(values), instance, weights, grid)
     return dataclasses.asdict(report), 0

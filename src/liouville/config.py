@@ -1,7 +1,8 @@
 """Problem-instance configuration: JSON in, validated domain objects out.
 
 Every parse failure raises ConfigError anchored to the offending field
-(dotted path), so a bad config names its own problem.
+(dotted path), so a bad config names its own problem. This module checks
+JSON shapes and types; each value bound belongs to the type a field builds.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from .degree import ProblemInstance, SurfaceSpec
 from .errors import ConfigError
 from .matrix import InteractionMatrix
-from .solver import DEFAULT_RESOLUTION, MAX_RESOLUTION, MAX_STEPS, SolverOptions
+from .solver import DEFAULT_RESOLUTION, SolverOptions, check_resolution
 from .spectrum import SingularitySet
 
 __all__ = ["InstanceConfig", "load_config"]
@@ -122,10 +123,7 @@ def _parse_matrix(raw: dict) -> InteractionMatrix:
             )
         for j, x in enumerate(row):
             _require_number(x, f"matrix[{i}][{j}]")
-    try:
-        return InteractionMatrix(rows)
-    except ValueError as exc:
-        raise ConfigError("matrix", str(exc)) from exc
+    return _build("matrix", InteractionMatrix, rows)
 
 
 def _parse_vector(raw: dict, field: str, n: int) -> np.ndarray | None:
@@ -157,20 +155,18 @@ def _parse_surface(raw: dict) -> SurfaceSpec | None:
     if not isinstance(s, dict):
         raise ConfigError("surface", "expected an object")
     if "chi" in s:
-        _require_int(s["chi"], "surface.chi")
-        _require_object(s, "surface", {"chi"})
-        return SurfaceSpec.from_chi(s["chi"])
-    kind = s.get("type")
-    if not isinstance(kind, str) or kind not in _SURFACE_TYPES:
-        raise ConfigError(
-            "surface.type", 'expected "closed" or "domain" (or a raw "chi")'
-        )
-    field, build = _SURFACE_TYPES[kind]
-    _require_int(s.get(field), f"surface.{field}")
-    if s[field] < 0:
-        raise ConfigError(f"surface.{field}", "must be nonnegative")
-    _require_object(s, "surface", {"type", field})
-    return build(s[field])
+        field, build, allowed = "chi", SurfaceSpec.from_chi, {"chi"}
+    else:
+        kind = s.get("type")
+        if not isinstance(kind, str) or kind not in _SURFACE_TYPES:
+            raise ConfigError(
+                "surface.type", 'expected "closed" or "domain" (or a raw "chi")'
+            )
+        field, build = _SURFACE_TYPES[kind]
+        allowed = {"type", field}
+    surface = _build(f"surface.{field}", build, s.get(field))
+    _require_object(s, "surface", allowed)
+    return surface
 
 
 def _parse_singularities(raw: dict) -> SingularitySet:
@@ -203,12 +199,8 @@ def _parse_singularities(raw: dict) -> SingularitySet:
         raise ConfigError(
             "singularities", "either all sources have positions or none do"
         )
-    try:
-        return SingularitySet(
-            tuple(gammas), tuple(positions) if with_position else None
-        )
-    except ValueError as exc:
-        raise ConfigError("singularities", str(exc)) from exc
+    where = tuple(positions) if with_position else None
+    return _build("singularities", SingularitySet, tuple(gammas), where)
 
 
 def _parse_solver(raw: dict) -> tuple[int, SolverOptions]:
@@ -219,22 +211,13 @@ def _parse_solver(raw: dict) -> tuple[int, SolverOptions]:
     _require_object(s, "solver", {"resolution", "tol", "steps"})
     resolution = s.get("resolution", DEFAULT_RESOLUTION)
     _require_int(resolution, "solver.resolution")
-    if not 0 < int(resolution) <= MAX_RESOLUTION or int(resolution) % 2:
-        raise ConfigError(
-            "solver.resolution",
-            f"must be a positive even integer at most {MAX_RESOLUTION}",
-        )
+    resolution = _build("solver.resolution", check_resolution, resolution)
     tol = s.get("tol", defaults.tol)
     _require_number(tol, "solver.tol")
-    if float(tol) <= 0:
-        raise ConfigError("solver.tol", "must be positive")
+    # The tol is checked with the default steps, so each error names its field.
+    tol = _build("solver.tol", SolverOptions, float(tol)).tol
     steps = s.get("steps", defaults.steps)
-    _require_int(steps, "solver.steps")
-    if not 1 <= int(steps) <= MAX_STEPS:
-        raise ConfigError(
-            "solver.steps", f"must be at least 1 and at most {MAX_STEPS}"
-        )
-    return int(resolution), SolverOptions(tol=float(tol), steps=int(steps))
+    return resolution, _build("solver.steps", SolverOptions, tol, steps)
 
 
 def _parse_caps(raw: dict) -> dict[str, float | None]:
@@ -267,6 +250,14 @@ def _parse_mu(raw: dict):
     if float(raw["mu"]) <= 0:
         raise ConfigError("mu", "must be positive")
     return float(raw["mu"])
+
+
+def _build(field: str, make, *args):
+    """make(*args), with its ValueError anchored at the config field."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ConfigError(field, str(exc)) from exc
 
 
 def _require_object(value, field: str, allowed: set[str]) -> None:

@@ -55,29 +55,36 @@ DEFAULT_CAP = 20.0
 _INTEGER_TOL = 1e-9
 
 
+def _integer(value, name: str, nonnegative: bool = False) -> int:
+    """value as an int; ValueError unless it is an integer (not a bool),
+    and with ``nonnegative`` unless it is also >= 0."""
+    if type(value) is bool or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if nonnegative and value < 0:
+        raise ValueError(f"{name} must be nonnegative")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SurfaceSpec:
     """Topology of the underlying space, reduced to its Euler characteristic."""
 
     chi: int
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "chi", _integer(self.chi, "chi"))
+
     @classmethod
     def closed_surface(cls, genus: int) -> "SurfaceSpec":
-        genus = int(genus)
-        if genus < 0:
-            raise ValueError("genus must be nonnegative")
-        return cls(2 - 2 * genus)
+        return cls(2 - 2 * _integer(genus, "genus", nonnegative=True))
 
     @classmethod
     def planar_domain(cls, holes: int) -> "SurfaceSpec":
-        holes = int(holes)
-        if holes < 0:
-            raise ValueError("holes must be nonnegative")
-        return cls(1 - holes)
+        return cls(1 - _integer(holes, "holes", nonnegative=True))
 
     @classmethod
     def from_chi(cls, chi: int) -> "SurfaceSpec":
-        return cls(int(chi))
+        return cls(chi)
 
     @classmethod
     def torus(cls) -> "SurfaceSpec":

@@ -70,6 +70,19 @@ MAX_KRYLOV = 200  # Arnoldi steps per direction; the basis holds one more
 DAMPING_FLOOR = 1e-6  # smallest backtracking step before StepFailure
 
 
+def check_resolution(m) -> int:
+    """The grid size m as an int; ValueError unless it is a positive even
+    integer at most MAX_RESOLUTION."""
+    # A fraction, NaN or infinity stays as given and fails below.
+    m = int(m) if m % 1 == 0 else m
+    if m <= 0 or m % 2 != 0 or m > MAX_RESOLUTION:
+        raise ValueError(
+            f"resolution must be a positive even integer at most "
+            f"{MAX_RESOLUTION}, got {m}"
+        )
+    return m
+
+
 class TorusGrid:
     """Uniform M x M grid on the unit flat torus with spectral calculus.
 
@@ -82,14 +95,7 @@ class TorusGrid:
     """
 
     def __init__(self, resolution: int = DEFAULT_RESOLUTION) -> None:
-        # A fraction, NaN or infinity stays as given and fails below.
-        m = int(resolution) if resolution % 1 == 0 else resolution
-        if m <= 0 or m % 2 != 0 or m > MAX_RESOLUTION:
-            raise ValueError(
-                f"resolution must be a positive even integer at most "
-                f"{MAX_RESOLUTION}, got {m}"
-            )
-        self.resolution = m
+        self.resolution = m = check_resolution(resolution)
         axis = np.arange(m) / m
         self.x, self.y = np.meshgrid(axis, axis, indexing="ij")
         k = np.rint(np.fft.fftfreq(m, d=1.0 / m)).astype(np.int64)
@@ -410,14 +416,12 @@ class SolverOptions:
     steps: int = 10
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.tol <= sys.float_info.max:
-            raise ValueError(f"tol = {self.tol!r} must be finite and > 0")
+        if type(self.tol) is bool or not 0.0 < self.tol <= sys.float_info.max:
+            raise ValueError(f"tol = {self.tol!r} must be finite and positive")
         if type(self.steps) is bool or not isinstance(self.steps, (int, np.integer)):
             raise ValueError(f"steps = {self.steps!r} must be an integer")
-        if self.steps < 1:
-            raise ValueError("steps must be at least 1")
-        if self.steps > MAX_STEPS:
-            raise ValueError(f"steps must be at most {MAX_STEPS}")
+        if not 1 <= self.steps <= MAX_STEPS:
+            raise ValueError(f"steps must be at least 1 and at most {MAX_STEPS}")
 
 
 @dataclass(frozen=True)

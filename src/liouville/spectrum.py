@@ -156,13 +156,16 @@ def build_generating_function(
     """Full counting series for Euler characteristic ``chi`` and the
     given sources, truncated at ``cap``.
 
-    Raises as the spectrum does, and also ``ValueError`` if some
-    1+gamma_l is within the merge tolerance (the singular factor would
-    cancel the constant term) and ``CoefficientOverflow`` if a
-    coefficient leaves the signed 64-bit range.
+    Raises as the spectrum does, and also ``ValueError`` if ``chi`` is
+    not an integer (as ``SurfaceSpec`` does) or some 1+gamma_l is within
+    the merge tolerance (the singular factor would cancel the constant
+    term), and ``CoefficientOverflow`` if a coefficient leaves the
+    signed 64-bit range.
     """
+    from .degree import SurfaceSpec  # degree imports this module
+
     return _levels_and_coefficients(
-        singularities, cap, exponent=int(chi) - singularities.count
+        singularities, cap, exponent=SurfaceSpec(chi).chi - singularities.count
     )
 
 

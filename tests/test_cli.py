@@ -12,10 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liouville import ConfigError, fieldio
+from liouville import ConfigError, SolverOptions, SurfaceSpec, fieldio
 from liouville.cli import main
 from liouville.config import load_config
-from liouville.solver import MAX_RESOLUTION, MAX_STEPS
+from liouville.solver import MAX_RESOLUTION, MAX_STEPS, check_resolution
 
 EXCHANGE = [[0.0, 1.0], [1.0, 0.0]]
 TORUS = {"type": "closed", "genus": 1}
@@ -144,12 +144,12 @@ def test_surface_forms(tmp_path):
         ),
         (
             {"matrix": [[1.0]], "solver": {"steps": MAX_STEPS + 1}},
-            f"solver.steps: must be at least 1 and at most {MAX_STEPS}",
+            f"solver.steps: steps must be at least 1 and at most {MAX_STEPS}",
         ),
         (
             {"matrix": [[1.0]], "solver": {"resolution": MAX_RESOLUTION + 2}},
-            f"solver.resolution: must be a positive even integer at most "
-            f"{MAX_RESOLUTION}",
+            f"solver.resolution: resolution must be a positive even integer "
+            f"at most {MAX_RESOLUTION}, got {MAX_RESOLUTION + 2}",
         ),
         (
             {"matrix": [[1.0]], "surface": {**TORUS, "holes": 4}},
@@ -168,7 +168,7 @@ def test_surface_forms(tmp_path):
         ),
         (
             {"matrix": [[1.0]], "surface": {"chi": 1.5}},
-            "surface.chi: expected an integer",
+            "surface.chi: chi must be an integer, got 1.5",
         ),
         (
             {"matrix": [[1.0]], "caps": {"tolerance": -1.0}},
@@ -183,6 +183,35 @@ def test_config_errors_name_their_field(tmp_path, data, anchor):
     with pytest.raises(ConfigError) as info:
         load_config(path)
     assert anchor in str(info.value)
+
+
+# Each bound is checked by the type the config builds; the config error
+# gives that type's text, anchored at the field.
+@pytest.mark.parametrize(
+    ("field", "section", "make"),
+    [
+        ("solver.resolution", {"resolution": 33}, check_resolution),
+        ("solver.tol", {"tol": 0.0}, lambda tol: SolverOptions(tol=tol)),
+        ("solver.steps", {"steps": 0}, lambda steps: SolverOptions(steps=steps)),
+        (
+            "solver.steps",
+            {"steps": MAX_STEPS + 1},
+            lambda steps: SolverOptions(steps=steps),
+        ),
+        ("surface.genus", {"type": "closed", "genus": -1}, SurfaceSpec.closed_surface),
+        ("surface.holes", {"type": "domain", "holes": -1}, SurfaceSpec.planar_domain),
+        ("surface.chi", {"chi": 1.5}, SurfaceSpec.from_chi),
+    ],
+    ids=["resolution", "tol", "steps-low", "steps-high", "genus", "holes", "chi"],
+)
+def test_config_gives_the_text_of_the_type_it_builds(tmp_path, field, section, make):
+    name, key = field.split(".")
+    with pytest.raises(ValueError) as expected:
+        make(section[key])
+    path = write_config(tmp_path, {"matrix": [[1.0]], name: section})
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value) == f"{field}: {expected.value}"
 
 
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
@@ -505,8 +534,8 @@ def test_verify_rejects_component_mismatch(tmp_path, capsys):
     )
     assert main(["verify", two, "--field", dump]) == 1
     err = capsys.readouterr().err
-    assert "error[ConfigError]" in err
-    assert "1 components" in err
+    assert err.startswith("error[ValueError]: field has shape (1, ")
+    assert "2-component system" in err
 
 
 def test_solve_requires_a_flat_surface(tmp_path, capsys):

@@ -238,6 +238,7 @@ def test_surface_constructors_resolve_chi():
     assert SurfaceSpec.planar_domain(holes=3).chi == -2
     assert SurfaceSpec.torus().chi == 0
     assert SurfaceSpec.from_chi(-7).chi == -7
+    assert type(SurfaceSpec.from_chi(np.int64(-7)).chi) is int
 
 
 # ------------------------------------------------------ torus special case
@@ -496,6 +497,41 @@ def test_non_finite_arguments_raise_value_error(call, value):
             lambda: SurfaceSpec.planar_domain(-1),
             "holes must be nonnegative",
             id="planar_domain-holes",
+        ),
+        pytest.param(
+            lambda: SurfaceSpec.closed_surface(1.5),
+            "genus must be an integer, got 1.5",
+            id="closed_surface-fraction",
+        ),
+        pytest.param(
+            lambda: SurfaceSpec.closed_surface(math.inf),
+            "genus must be an integer, got inf",
+            id="closed_surface-inf",
+        ),
+        pytest.param(
+            lambda: SurfaceSpec.planar_domain(2.0),
+            "holes must be an integer, got 2.0",
+            id="planar_domain-float",
+        ),
+        pytest.param(
+            lambda: SurfaceSpec.from_chi(0.5),
+            "chi must be an integer, got 0.5",
+            id="from_chi-fraction",
+        ),
+        pytest.param(
+            lambda: SurfaceSpec.from_chi(True),
+            "chi must be an integer, got True",
+            id="from_chi-bool",
+        ),
+        pytest.param(
+            lambda: SurfaceSpec(0.5),
+            "chi must be an integer, got 0.5",
+            id="SurfaceSpec-fraction",
+        ),
+        pytest.param(
+            lambda: build_generating_function(1.9, SingularitySet.empty(), 5.0),
+            "chi must be an integer, got 1.9",
+            id="build_generating_function-fraction",
         ),
         pytest.param(
             lambda: ProblemInstance(

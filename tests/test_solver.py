@@ -1040,6 +1040,7 @@ def test_a_failed_rerun_raises_its_own_error(monkeypatch):
         pytest.param({"steps": 2.5}, id="fractional-steps"),
         pytest.param({"steps": 10.0}, id="float-steps"),
         pytest.param({"steps": True}, id="bool-steps"),
+        pytest.param({"tol": True}, id="bool-tol"),
     ],
 )
 def test_solver_options_reject_bad_values(bad):
