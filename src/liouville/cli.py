@@ -186,8 +186,9 @@ def _cmd_degree(cfg: InstanceConfig, args) -> tuple[dict, int]:
 
 
 def _cmd_pohozaev(cfg: InstanceConfig, args) -> tuple[dict, int]:
-    if cfg.sigma is None or cfg.mu is None:
-        raise ConfigError("sigma", 'pohozaev needs "sigma" and "mu"')
+    for field in ("sigma", "mu"):
+        if getattr(cfg, field) is None:
+            raise ConfigError(field, 'pohozaev needs "sigma" and "mu"')
     masses = MassVector(cfg.sigma, cfg.mu)
     payload: dict = {
         "mu": cfg.mu,

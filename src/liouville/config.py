@@ -18,7 +18,7 @@ from .degree import ProblemInstance, SurfaceSpec
 from .errors import ConfigError
 from .matrix import InteractionMatrix
 from .solver import DEFAULT_RESOLUTION, SolverOptions, check_resolution
-from .spectrum import SingularitySet
+from .spectrum import SingularitySet, check_real
 
 __all__ = ["InstanceConfig", "load_config"]
 
@@ -102,7 +102,7 @@ def load_config(path: str | Path) -> InstanceConfig:
         solver=solver,
         **_parse_caps(raw),
         sigma=_parse_vector(raw, "sigma", n),
-        mu=_parse_mu(raw),
+        mu=_parse_real(raw, "mu", "mu"),
         direction=_parse_vector(raw, "direction", n),
     )
 
@@ -210,12 +210,9 @@ def _parse_solver(raw: dict) -> tuple[int, SolverOptions]:
     s = raw["solver"]
     _require_object(s, "solver", {"resolution", "tol", "steps"})
     resolution = s.get("resolution", DEFAULT_RESOLUTION)
-    _require_int(resolution, "solver.resolution")
     resolution = _build("solver.resolution", check_resolution, resolution)
-    tol = s.get("tol", defaults.tol)
-    _require_number(tol, "solver.tol")
     # The tol is checked with the default steps, so each error names its field.
-    tol = _build("solver.tol", SolverOptions, float(tol)).tol
+    tol = _build("solver.tol", SolverOptions, s.get("tol", defaults.tol)).tol
     steps = s.get("steps", defaults.steps)
     return resolution, _build("solver.steps", SolverOptions, tol, steps)
 
@@ -224,32 +221,19 @@ def _parse_caps(raw: dict) -> dict[str, float | None]:
     """The config's exponent_cap and critical_tol, each None when absent."""
     caps = raw.get("caps", {})
     _require_object(caps, "caps", {"exponent_cap", "tolerance"})
+    # A critical tolerance of 0 counts only exact hits; a cap must be positive.
     return {
-        "exponent_cap": _parse_cap(caps, "exponent_cap"),
-        "critical_tol": _parse_cap(caps, "tolerance"),
+        "exponent_cap": _parse_real(caps, "caps.exponent_cap", "cap"),
+        "critical_tol": _parse_real(caps, "caps.tolerance", "critical tolerance", True),
     }
 
 
-def _parse_cap(caps: dict, key: str) -> float | None:
-    if key not in caps:
+def _parse_real(section: dict, field: str, name: str, closed: bool = False):
+    """section's entry for ``field``, or None, checked like the library's ``name``."""
+    key = field.rpartition(".")[2]
+    if key not in section:
         return None
-    _require_number(caps[key], f"caps.{key}")
-    value = float(caps[key])
-    # A critical tolerance of 0 counts only exact hits; a cap must be positive.
-    if key == "exponent_cap" and value <= 0:
-        raise ConfigError("caps.exponent_cap", "must be positive")
-    if value < 0:
-        raise ConfigError("caps.tolerance", "must be nonnegative")
-    return value
-
-
-def _parse_mu(raw: dict):
-    if "mu" not in raw:
-        return None
-    _require_number(raw["mu"], "mu")
-    if float(raw["mu"]) <= 0:
-        raise ConfigError("mu", "must be positive")
-    return float(raw["mu"])
+    return _build(field, check_real, section[key], name, 0.0, closed)
 
 
 def _build(field: str, make, *args):
@@ -274,8 +258,3 @@ def _require_number(value, field: str) -> None:
     # Also catches literals that overflow a double, such as 1e999.
     if not abs(value) <= sys.float_info.max:
         raise ConfigError(field, f"expected a finite number, got {value!r}")
-
-
-def _require_int(value, field: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(field, f"expected an integer, got {value!r}")

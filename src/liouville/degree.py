@@ -32,6 +32,8 @@ from .spectrum import (
     DEFAULT_CRITICAL_TOL,
     SingularitySet,
     build_generating_function,
+    check_integer,
+    check_real,
     locate_region,
 )
 
@@ -55,16 +57,6 @@ DEFAULT_CAP = 20.0
 _INTEGER_TOL = 1e-9
 
 
-def _integer(value, name: str, nonnegative: bool = False) -> int:
-    """value as an int; ValueError unless it is an integer (not a bool),
-    and with ``nonnegative`` unless it is also >= 0."""
-    if type(value) is bool or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if nonnegative and value < 0:
-        raise ValueError(f"{name} must be nonnegative")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class SurfaceSpec:
     """Topology of the underlying space, reduced to its Euler characteristic."""
@@ -72,15 +64,15 @@ class SurfaceSpec:
     chi: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "chi", _integer(self.chi, "chi"))
+        object.__setattr__(self, "chi", check_integer(self.chi, "chi"))
 
     @classmethod
     def closed_surface(cls, genus: int) -> "SurfaceSpec":
-        return cls(2 - 2 * _integer(genus, "genus", nonnegative=True))
+        return cls(2 - 2 * check_integer(genus, "genus", nonnegative=True))
 
     @classmethod
     def planar_domain(cls, holes: int) -> "SurfaceSpec":
-        return cls(1 - _integer(holes, "holes", nonnegative=True))
+        return cls(1 - check_integer(holes, "holes", nonnegative=True))
 
     @classmethod
     def from_chi(cls, chi: int) -> "SurfaceSpec":
@@ -212,8 +204,8 @@ def leray_schauder_degree(
     """
     _require_hypotheses(p.matrix)
     q = normalized_energy(p.rho, p.matrix)
-    # An invalid cap is left to the enumeration to report.
-    if 0.0 < cap < q:
+    cap = check_real(cap, "cap", 0.0)
+    if cap < q:
         raise OutOfRange(f"normalized energy {q!r} exceeds the cap {cap!r}")
     series = build_generating_function(p.surface.chi, p.singularities, cap)
     k = locate_region(q, series, tol)

@@ -19,6 +19,7 @@ from numpy.typing import NDArray
 from .degree import nearest_integer, normalized_energy
 from .errors import DegenerateDirection, NumericOverflow
 from .matrix import ConditionReport, Violation, as_interaction_matrix
+from .spectrum import check_real
 
 __all__ = [
     "MassVector",
@@ -49,8 +50,7 @@ class MassVector:
             raise ValueError("sigma components must be finite and nonnegative")
         sigma.setflags(write=False)
         object.__setattr__(self, "sigma", sigma)
-        if not 0.0 < self.mu <= sys.float_info.max:
-            raise ValueError(f"mu = {self.mu!r} must be positive and finite")
+        object.__setattr__(self, "mu", check_real(self.mu, "mu", 0.0))
 
 
 def pohozaev_residual(a, masses: MassVector) -> float:
@@ -85,6 +85,7 @@ def solve_mass_on_hypersurface(a, mu: float, direction) -> MassVector:
     NumericOverflow
         If d^T A d or the masses leave the double range.
     """
+    mu = check_real(mu, "mu", 0.0)
     m = as_interaction_matrix(a)
     d = np.asarray(direction, dtype=np.float64)
     if d.ndim != 1 or d.shape[0] != m.n:
@@ -133,17 +134,14 @@ def minimal_mass_check(a, masses: MassVector) -> ConditionReport:
 
 def energy_scaling_between_points(sigma_p: MassVector, mu_q: float) -> MassVector:
     """Masses seen from a blowup point of weight mu_q: scale by mu_q/mu_p."""
-    if not 0.0 < mu_q <= sys.float_info.max:
-        raise ValueError(f"mu_q = {mu_q!r} must be positive and finite")
+    mu_q = check_real(mu_q, "mu_q", 0.0)
     return MassVector((mu_q / sigma_p.mu) * sigma_p.sigma, mu_q)
 
 
 def nonsimple_blowup_admissible(gamma: float) -> bool:
     """Whether non-simple blowup is possible at strength gamma: only when
     mu = 1 + gamma is a positive integer, up to ``nearest_integer``."""
-    if not -1.0 < gamma <= sys.float_info.max:
-        raise ValueError(f"gamma = {gamma!r} must be finite and exceed -1")
-    nearest = nearest_integer(1.0 + gamma)
+    nearest = nearest_integer(1.0 + check_real(gamma, "gamma", -1.0))
     return nearest is not None and nearest >= 1
 
 

@@ -16,7 +16,6 @@ critical energy level, where solutions stay bounded.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,7 @@ from .errors import (
     StepFailure,
     ZeroMassDensity,
 )
-from .spectrum import SingularitySet
+from .spectrum import SingularitySet, check_integer, check_real
 
 __all__ = [
     "TorusGrid",
@@ -73,8 +72,7 @@ DAMPING_FLOOR = 1e-6  # smallest backtracking step before StepFailure
 def check_resolution(m) -> int:
     """The grid size m as an int; ValueError unless it is a positive even
     integer at most MAX_RESOLUTION."""
-    # A fraction, NaN or infinity stays as given and fails below.
-    m = int(m) if m % 1 == 0 else m
+    m = check_integer(m, "resolution")
     if m <= 0 or m % 2 != 0 or m > MAX_RESOLUTION:
         raise ValueError(
             f"resolution must be a positive even integer at most "
@@ -149,17 +147,17 @@ class FieldSet:
     def __post_init__(self) -> None:
         values = np.array(self.values, dtype=np.float64)
         if values.ndim != 3 or values.shape[1] != values.shape[2]:
-            raise ValueError(
-                f"expected shape (n, M, M), got {values.shape}"
-            )
+            raise ValueError(f"expected shape (n, M, M), got {values.shape}")
+        if not values.size:
+            raise ValueError(f"expected n, M >= 1, got shape {values.shape}")
         if not np.all(np.isfinite(values)):
             raise ValueError("field is not finite: it holds NaN or infinite values")
         # The rounding error of a mean grows with the field's size. An
         # overflowing sum gives an infinite mean, which fails below.
         with np.errstate(over="ignore"):
             means = values.mean(axis=(1, 2))
-        worst = float(np.max(np.abs(means))) if means.size else 0.0
-        size = max(1.0, values.max(initial=0.0), -values.min(initial=0.0))
+        worst = float(np.max(np.abs(means)))
+        size = max(1.0, values.max(), -values.min())
         tol = MEAN_ZERO_TOL * float(size)
         if worst > tol:
             raise ValueError(
@@ -416,10 +414,8 @@ class SolverOptions:
     steps: int = 10
 
     def __post_init__(self) -> None:
-        if type(self.tol) is bool or not 0.0 < self.tol <= sys.float_info.max:
-            raise ValueError(f"tol = {self.tol!r} must be finite and positive")
-        if type(self.steps) is bool or not isinstance(self.steps, (int, np.integer)):
-            raise ValueError(f"steps = {self.steps!r} must be an integer")
+        object.__setattr__(self, "tol", check_real(self.tol, "tol", 0.0))
+        object.__setattr__(self, "steps", check_integer(self.steps, "steps"))
         if not 1 <= self.steps <= MAX_STEPS:
             raise ValueError(f"steps must be at least 1 and at most {MAX_STEPS}")
 

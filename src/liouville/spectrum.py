@@ -39,6 +39,38 @@ DEFAULT_CRITICAL_TOL = 1e-8
 
 _INT64_MAX = 2**63 - 1
 
+# The types of a real input; a bool, although an int, is refused apart.
+_REALS = (float, int, np.floating, np.integer)
+
+
+def check_integer(value, name: str, nonnegative: bool = False) -> int:
+    """value as an int; ValueError unless it is an integer (not a bool),
+    and with ``nonnegative`` unless it is also >= 0."""
+    if type(value) is bool or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if nonnegative and value < 0:
+        raise ValueError(f"{name} must be nonnegative")
+    return int(value)
+
+
+def check_real(value, name: str, low: float, closed=False, index=None) -> float:
+    """value as a float; ValueError unless it is a real number (not a
+    bool) that is finite and above ``low``, or at least ``low`` when
+    ``closed``. The error names ``name[index]`` when an index is given."""
+    # Compared before float(), which raises OverflowError on huge ints.
+    if type(value) is bool or not isinstance(value, _REALS) or not (
+        (low <= value if closed else low < value) and value <= sys.float_info.max
+    ):
+        if index is not None:
+            name = f"{name}[{index}]"
+        bound = f"{'>=' if closed else '>'} {low:g}"
+        if low == 0.0:
+            bound = "nonnegative" if closed else "positive"
+        raise ValueError(
+            f"{name} must be a real number, finite and {bound}, got {value!r}"
+        )
+    return float(value)
+
 
 @dataclass(frozen=True)
 class SingularitySet:
@@ -52,18 +84,18 @@ class SingularitySet:
     positions: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self) -> None:
-        gammas = tuple(self.gammas)
-        # Checked before float(), which raises OverflowError on huge ints.
-        for l, g in enumerate(gammas):
-            if not -1.0 < g <= sys.float_info.max:
-                raise ValueError(f"gamma[{l}] = {g!r} must be finite and > -1")
-        object.__setattr__(self, "gammas", tuple(map(float, gammas)))
+        gammas = tuple(
+            [check_real(g, "gamma", -1.0, index=l) for l, g in enumerate(self.gammas)]
+        )
+        object.__setattr__(self, "gammas", gammas)
         if self.positions is not None:
-            positions = tuple((p[0], p[1]) for p in self.positions)
-            for l, p in enumerate(positions):
-                if not all(abs(x) <= sys.float_info.max for x in p):
-                    raise ValueError(f"position[{l}] = {p!r} must be finite")
-            positions = tuple((float(x), float(y)) for x, y in positions)
+            positions = tuple(
+                (
+                    check_real(p[0], "position", -math.inf, index=l),
+                    check_real(p[1], "position", -math.inf, index=l),
+                )
+                for l, p in enumerate(self.positions)
+            )
             object.__setattr__(self, "positions", positions)
             if len(positions) != len(gammas):
                 raise ValueError(
@@ -157,15 +189,13 @@ def build_generating_function(
     given sources, truncated at ``cap``.
 
     Raises as the spectrum does, and also ``ValueError`` if ``chi`` is
-    not an integer (as ``SurfaceSpec`` does) or some 1+gamma_l is within
-    the merge tolerance (the singular factor would cancel the constant
-    term), and ``CoefficientOverflow`` if a coefficient leaves the
-    signed 64-bit range.
+    not an integer or some 1+gamma_l is within the merge tolerance (the
+    singular factor would cancel the constant term), and
+    ``CoefficientOverflow`` if a coefficient leaves the signed 64-bit
+    range.
     """
-    from .degree import SurfaceSpec  # degree imports this module
-
     return _levels_and_coefficients(
-        singularities, cap, exponent=SurfaceSpec(chi).chi - singularities.count
+        singularities, cap, exponent=check_integer(chi, "chi") - singularities.count
     )
 
 
@@ -202,12 +232,8 @@ def _levels_and_coefficients(
         If a coefficient of (1-x)^e or of the product leaves the signed
         64-bit range.
     """
-    if not 0.0 < cap <= sys.float_info.max:
-        raise ValueError(f"cap must be positive and finite, got {cap!r}")
-    if not 0.0 <= merge_tol <= sys.float_info.max:
-        raise ValueError(
-            f"merge_tol must be finite and nonnegative, got {merge_tol!r}"
-        )
+    cap = check_real(cap, "cap", 0.0)
+    merge_tol = check_real(merge_tol, "merge_tol", 0.0, closed=True)
     mus = singularities.mus
     candidates = (math.ceil(cap) + 1) * (1 << len(mus))
     if candidates > DEFAULT_LEVEL_LIMIT:
@@ -328,7 +354,8 @@ def locate_region(
     Raises
     ------
     ValueError
-        If q is not positive or ``tol`` is not finite and nonnegative.
+        If q is not finite and positive or ``tol`` is not finite and
+        nonnegative.
     OnCriticalSurface
         If q lies within ``tol`` of the span of some level n_k, from its
         first to its last merged member.
@@ -336,12 +363,8 @@ def locate_region(
         If q exceeds the largest enumerated level, so no upper neighbor
         is known.
     """
-    if not (q > 0.0):
-        raise ValueError(f"normalized energy must be positive, got {q!r}")
-    if not 0.0 <= tol <= sys.float_info.max:
-        raise ValueError(
-            f"critical tolerance must be finite and nonnegative, got {tol!r}"
-        )
+    q = check_real(q, "normalized energy", 0.0)
+    tol = check_real(tol, "critical tolerance", 0.0, closed=True)
     levels = spectrum.levels
     idx = bisect_left(levels, q)
     # Spans are disjoint and ordered, and levels[idx - 1] < q <= levels[idx],

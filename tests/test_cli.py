@@ -12,7 +12,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liouville import ConfigError, SolverOptions, SurfaceSpec, fieldio
+from liouville import (
+    ConfigError,
+    CriticalSpectrum,
+    SingularitySet,
+    SolverOptions,
+    SurfaceSpec,
+    enumerate_spectrum,
+    fieldio,
+    locate_region,
+)
 from liouville.cli import main
 from liouville.config import load_config
 from liouville.solver import MAX_RESOLUTION, MAX_STEPS, check_resolution
@@ -172,7 +181,7 @@ def test_surface_forms(tmp_path):
         ),
         (
             {"matrix": [[1.0]], "caps": {"tolerance": -1.0}},
-            "caps.tolerance: must be nonnegative",
+            "caps.tolerance: critical tolerance",
         ),
         ({"matrix": [[1.0, 2.0]]}, "matrix: expected a square matrix"),
         ({"matrix": [[1.0], [1.0, 2.0]]}, "matrix[1]: "),
@@ -185,8 +194,9 @@ def test_config_errors_name_their_field(tmp_path, data, anchor):
     assert anchor in str(info.value)
 
 
-# Each bound is checked by the type the config builds; the config error
-# gives that type's text, anchored at the field.
+# Each bound is checked by the type the config builds, or for a cap by the
+# library call it feeds; the config error gives that text, anchored at the
+# field.
 @pytest.mark.parametrize(
     ("field", "section", "make"),
     [
@@ -201,8 +211,28 @@ def test_config_errors_name_their_field(tmp_path, data, anchor):
         ("surface.genus", {"type": "closed", "genus": -1}, SurfaceSpec.closed_surface),
         ("surface.holes", {"type": "domain", "holes": -1}, SurfaceSpec.planar_domain),
         ("surface.chi", {"chi": 1.5}, SurfaceSpec.from_chi),
+        (
+            "caps.exponent_cap",
+            {"exponent_cap": -1.0},
+            lambda cap: enumerate_spectrum(SingularitySet.empty(), cap),
+        ),
+        (
+            "caps.tolerance",
+            {"tolerance": -1.0},
+            lambda tol: locate_region(0.5, CriticalSpectrum((1.0,), {}), tol),
+        ),
     ],
-    ids=["resolution", "tol", "steps-low", "steps-high", "genus", "holes", "chi"],
+    ids=[
+        "resolution",
+        "tol",
+        "steps-low",
+        "steps-high",
+        "genus",
+        "holes",
+        "chi",
+        "exponent_cap",
+        "tolerance",
+    ],
 )
 def test_config_gives_the_text_of_the_type_it_builds(tmp_path, field, section, make):
     name, key = field.split(".")
@@ -233,20 +263,33 @@ def test_non_finite_json_constants_are_rejected(tmp_path, template, constant):
 
 
 @pytest.mark.parametrize(
-    "text, anchor",
+    "text, start",
     [
-        ('{"matrix": [[1.0]], "solver": {"tol": 1e999}}', "solver.tol"),
-        ('{"matrix": [[1.0]], "mu": -1e999}', "mu"),
-        ('{"matrix": [[1.0]], "mu": 1%s}' % ("0" * 400), "mu"),
+        (
+            '{"matrix": [[1.0]], "solver": {"tol": 1e999}}',
+            "solver.tol: tol must be a real number, finite and positive, got inf",
+        ),
+        (
+            '{"matrix": [[1.0]], "mu": -1e999}',
+            "mu: mu must be a real number, finite and positive, got -inf",
+        ),
+        (
+            '{"matrix": [[1.0]], "mu": 1%s}' % ("0" * 400),
+            "mu: mu must be a real number, finite and positive, got 1000",
+        ),
+        (
+            '{"matrix": [[1.0]], "rho": [1e999]}',
+            "rho[0]: expected a finite number, got inf",
+        ),
     ],
-    ids=["float", "negative-float", "int"],
+    ids=["float", "negative-float", "int", "array-entry"],
 )
-def test_literals_beyond_double_range_are_rejected(tmp_path, text, anchor):
+def test_literals_beyond_double_range_are_rejected(tmp_path, text, start):
     p = tmp_path / "cfg.json"
     p.write_text(text)
     with pytest.raises(ConfigError) as info:
         load_config(p)
-    assert str(info.value).startswith(f"{anchor}: expected a finite number")
+    assert str(info.value).startswith(start)
 
 
 def test_missing_file_is_a_config_error(tmp_path):
@@ -437,10 +480,17 @@ def test_pohozaev_command(tmp_path, capsys):
     assert abs(payload["hypersurface"]["residual"]) <= 1e-12 * 32.0
 
 
-def test_pohozaev_requires_sigma_and_mu(tmp_path, capsys):
-    path = write_config(tmp_path, {"matrix": EXCHANGE})
+@pytest.mark.parametrize(
+    ("given", "missing"),
+    [({"sigma": [1.0, 1.0]}, "mu"), ({"mu": 1.0}, "sigma"), ({}, "sigma")],
+    ids=["only-sigma", "only-mu", "neither"],
+)
+def test_pohozaev_requires_sigma_and_mu(tmp_path, capsys, given, missing):
+    path = write_config(tmp_path, {"matrix": EXCHANGE, **given})
     assert main(["pohozaev", path]) == 1
-    assert "error[ConfigError]" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f'error[ConfigError]: {missing}: pohozaev needs "sigma" and "mu"\n'
+    )
 
 
 # ------------------------------------------------------- solve and verify
@@ -806,7 +856,11 @@ def test_zero_critical_tolerance_counts_only_exact_hits(tmp_path, capsys):
     code, payload = run_json(capsys, "degree", write_config(tmp_path, data))
     assert code == 0 and payload["region"] == 1
     data["caps"] = {"exponent_cap": 0.0}
-    with pytest.raises(ConfigError, match="caps.exponent_cap: must be positive"):
+    with pytest.raises(
+        ConfigError,
+        match="caps.exponent_cap: cap must be a real number, finite and positive, "
+        "got 0.0",
+    ):
         load_config(write_config(tmp_path, data))
 
 

@@ -170,9 +170,10 @@ def test_planar_domain_uses_the_same_formula():
 @pytest.mark.parametrize("cap", [0.0, -1.0, math.nan, math.inf])
 def test_invalid_cap_is_reported_as_for_the_spectrum(cap):
     # q = 1.5 is above 0 and -1, yet the cap itself is what is wrong.
-    with pytest.raises(ValueError, match="cap must be positive and finite"):
+    message = f"cap must be a real number, finite and positive, got {cap}"
+    with pytest.raises(ValueError, match=message):
         leray_schauder_degree(scalar_instance(0, (), 1.5), cap=cap)
-    with pytest.raises(ValueError, match="cap must be positive and finite"):
+    with pytest.raises(ValueError, match=message):
         enumerate_spectrum(SingularitySet(()), cap)
 
 
@@ -457,12 +458,19 @@ _FLOAT_ARGUMENTS = {
     ),
     "leray_schauder_degree-cap": lambda x: leray_schauder_degree(_INSTANCE, cap=x),
     "leray_schauder_degree-tol": lambda x: leray_schauder_degree(_INSTANCE, tol=x),
+    "locate_region-q": lambda x: liouville.locate_region(
+        x, CriticalSpectrum((1.0,), {})
+    ),
     "locate_region-tol": lambda x: liouville.locate_region(
         0.5, CriticalSpectrum((1.0,), {}), x
     ),
     "SolverOptions-tol": lambda x: liouville.SolverOptions(tol=x),
     "SolverOptions-steps": lambda x: liouville.SolverOptions(steps=x),
+    "TorusGrid-resolution": liouville.TorusGrid,
     "MassVector-mu": lambda x: liouville.MassVector((1.0,), x),
+    "solve_mass_on_hypersurface-mu": lambda x: (
+        liouville.solve_mass_on_hypersurface([[1.0]], x, (1.0,))
+    ),
     "SingularitySet-gamma": lambda x: SingularitySet((x,)),
     "SingularitySet-position": lambda x: SingularitySet((0.0,), ((x, 0.0),)),
     "nonsimple_blowup_admissible": liouville.nonsimple_blowup_admissible,
@@ -473,13 +481,16 @@ _FLOAT_ARGUMENTS = {
 
 
 @pytest.mark.parametrize(
-    "value", [10**400, math.inf, math.nan], ids=["huge-int", "inf", "nan"]
+    "value",
+    [10**400, math.inf, math.nan, "1.0", True, None],
+    ids=["huge-int", "inf", "nan", "str", "bool", "none"],
 )
 @pytest.mark.parametrize(
     "call", list(_FLOAT_ARGUMENTS.values()), ids=list(_FLOAT_ARGUMENTS)
 )
 def test_non_finite_arguments_raise_value_error(call, value):
-    # An int beyond the double range must not escape as OverflowError.
+    # An int beyond the double range must not escape as OverflowError, nor
+    # a string or None as TypeError; a bool is not taken for 0 or 1.
     with pytest.raises(ValueError):
         call(value)
 
@@ -533,6 +544,23 @@ def test_non_finite_arguments_raise_value_error(call, value):
             "chi must be an integer, got 1.9",
             id="build_generating_function-fraction",
         ),
+        *(
+            pytest.param(
+                lambda make=make, value=value: make(value),
+                f"{name} must be an integer, got {value!r}",
+                id=f"{label}-{kind}",
+            )
+            for label, name, make in (
+                ("TorusGrid", "resolution", liouville.TorusGrid),
+                ("SolverOptions", "steps", lambda s: liouville.SolverOptions(steps=s)),
+                (
+                    "build_generating_function",
+                    "chi",
+                    lambda chi: build_generating_function(chi, _SOURCES, 5.0),
+                ),
+            )
+            for kind, value in (("float", 64.0), ("str", "64"), ("bool", True))
+        ),
         pytest.param(
             lambda: ProblemInstance(
                 SurfaceSpec.torus(), _SOURCES, InteractionMatrix(EXCHANGE), (1.0,)
@@ -574,6 +602,16 @@ def test_non_finite_arguments_raise_value_error(call, value):
             lambda: liouville.FieldSet(np.zeros((1, 8, 4))),
             r"expected shape \(n, M, M\), got \(1, 8, 4\)",
             id="FieldSet-non-square",
+        ),
+        pytest.param(
+            lambda: liouville.FieldSet(np.zeros((1, 0, 0))),
+            r"expected n, M >= 1, got shape \(1, 0, 0\)",
+            id="FieldSet-no-nodes",
+        ),
+        pytest.param(
+            lambda: liouville.FieldSet(np.zeros((0, 4, 4))),
+            r"expected n, M >= 1, got shape \(0, 4, 4\)",
+            id="FieldSet-no-components",
         ),
     ],
 )
