@@ -2,13 +2,13 @@
 
 Every parse failure raises ConfigError anchored to the offending field
 (dotted path), so a bad config names its own problem. This module checks
-JSON shapes and types; each value bound belongs to the type a field builds.
+the keys of JSON objects; each value, number or array, is checked by the
+type its field builds or by the library's rule for such a value.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,7 +18,7 @@ from .degree import ProblemInstance, SurfaceSpec
 from .errors import ConfigError
 from .matrix import InteractionMatrix
 from .solver import DEFAULT_RESOLUTION, SolverOptions, check_resolution
-from .spectrum import SingularitySet, check_real
+from .spectrum import SingularitySet, check_real, check_reals
 
 __all__ = ["InstanceConfig", "load_config"]
 
@@ -110,35 +110,13 @@ def load_config(path: str | Path) -> InstanceConfig:
 def _parse_matrix(raw: dict) -> InteractionMatrix:
     if "matrix" not in raw:
         raise ConfigError("matrix", "missing required field")
-    rows = raw["matrix"]
-    if not isinstance(rows, list) or not rows:
-        raise ConfigError("matrix", "expected a nonempty list of rows")
-    for i, row in enumerate(rows):
-        if not isinstance(row, list):
-            raise ConfigError(f"matrix[{i}]", "expected a list of numbers")
-        if len(row) != len(rows[0]):
-            raise ConfigError(
-                f"matrix[{i}]",
-                f"has {len(row)} entries, but matrix[0] has {len(rows[0])}",
-            )
-        for j, x in enumerate(row):
-            _require_number(x, f"matrix[{i}][{j}]")
-    return _build("matrix", InteractionMatrix, rows)
+    return _build("matrix", InteractionMatrix, raw["matrix"])
 
 
 def _parse_vector(raw: dict, field: str, n: int) -> np.ndarray | None:
     if field not in raw:
         return None
-    items = raw[field]
-    if not isinstance(items, list):
-        raise ConfigError(field, "expected a list of numbers")
-    if len(items) != n:
-        raise ConfigError(
-            field, f"expected {n} entries to match the matrix, got {len(items)}"
-        )
-    for i, x in enumerate(items):
-        _require_number(x, f"{field}[{i}]")
-    return np.array(items, dtype=np.float64)
+    return _build(field, check_reals, raw[field], field, (n,))
 
 
 # The integer field of each typed surface form, and the constructor it feeds.
@@ -175,31 +153,21 @@ def _parse_singularities(raw: dict) -> SingularitySet:
     items = raw["singularities"]
     if not isinstance(items, list):
         raise ConfigError("singularities", "expected a list")
-    gammas: list[float] = []
-    positions: list[tuple[float, float]] = []
-    with_position = 0
+    gammas, positions = [], []
     for l, item in enumerate(items):
-        if not isinstance(item, dict) or "gamma" not in item:
-            raise ConfigError(
-                f"singularities[{l}]", 'expected an object with "gamma"'
-            )
-        _require_number(item["gamma"], f"singularities[{l}].gamma")
-        gammas.append(float(item["gamma"]))
+        field = f"singularities[{l}]"
+        _require_object(item, field, {"gamma", "position"})
+        if "gamma" not in item:
+            raise ConfigError(field, 'expected an object with "gamma"')
+        gammas.append(item["gamma"])
         if "position" in item:
-            pos = item["position"]
-            if not isinstance(pos, list) or len(pos) != 2:
-                raise ConfigError(
-                    f"singularities[{l}].position", "expected [x, y]"
-                )
-            for k, x in enumerate(pos):
-                _require_number(x, f"singularities[{l}].position[{k}]")
-            positions.append((float(pos[0]), float(pos[1])))
-            with_position += 1
-    if with_position and with_position != len(items):
+            args = (item["position"], "position", (2,))
+            positions.append(_build(f"{field}.position", check_reals, *args))
+    if positions and len(positions) != len(items):
         raise ConfigError(
             "singularities", "either all sources have positions or none do"
         )
-    where = tuple(positions) if with_position else None
+    where = tuple(positions) if positions else None
     return _build("singularities", SingularitySet, tuple(gammas), where)
 
 
@@ -249,12 +217,5 @@ def _require_object(value, field: str, allowed: set[str]) -> None:
         raise ConfigError(field, "expected an object")
     extra = set(value) - allowed
     if extra:
-        raise ConfigError(field, f"unexpected fields {sorted(extra)}")
-
-
-def _require_number(value, field: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(field, f"expected a number, got {value!r}")
-    # Also catches literals that overflow a double, such as 1e999.
-    if not abs(value) <= sys.float_info.max:
-        raise ConfigError(field, f"expected a finite number, got {value!r}")
+        expected = f"expected only {sorted(allowed)}"
+        raise ConfigError(field, f"unexpected fields {sorted(extra)}, {expected}")

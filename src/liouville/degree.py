@@ -34,6 +34,7 @@ from .spectrum import (
     build_generating_function,
     check_integer,
     check_real,
+    check_reals,
     locate_region,
 )
 
@@ -93,15 +94,7 @@ class ProblemInstance:
     rho: FloatVector
 
     def __post_init__(self) -> None:
-        rho = np.array(self.rho, dtype=np.float64)
-        if rho.ndim != 1 or rho.shape[0] != self.matrix.n:
-            raise ValueError(
-                f"rho must be a vector of length {self.matrix.n}, "
-                f"got shape {rho.shape}"
-            )
-        if not np.all(np.isfinite(rho)):
-            raise ValueError("rho entries must be finite")
-        rho.setflags(write=False)
+        rho = check_reals(self.rho, "rho", (self.matrix.n,))
         object.__setattr__(self, "rho", rho)
 
 
@@ -133,6 +126,8 @@ def normalized_energy(rho, a) -> float:
 
     Raises
     ------
+    ValueError
+        Unless rho is a vector of n finite real numbers.
     NegativeRho
         If some rho_i < 0.
     ZeroMass
@@ -142,9 +137,7 @@ def normalized_energy(rho, a) -> float:
         is positive but below the smallest positive double.
     """
     m = as_interaction_matrix(a)
-    rho = np.asarray(rho, dtype=np.float64)
-    if rho.ndim != 1 or rho.shape[0] != m.n:
-        raise ValueError(f"rho must be a vector of length {m.n}")
+    rho = check_reals(rho, "rho", (m.n,))
     if np.any(rho < 0.0):
         i = int(np.argmin(rho))
         raise NegativeRho(f"rho[{i}] = {float(rho[i])!r} is negative")
@@ -236,9 +229,8 @@ def prescribed_masses(singularities: SingularitySet, a) -> FloatVector:
             NegativeMassWarning,
             stacklevel=2,
         )
-    out = np.array(vec, dtype=np.float64)
-    out.setflags(write=False)
-    return out
+    vec.setflags(write=False)
+    return vec
 
 
 def torus_special_degree(singularities: SingularitySet, a) -> TorusDegree:
@@ -270,7 +262,6 @@ def torus_special_degree(singularities: SingularitySet, a) -> TorusDegree:
     # the intended zero mass instead of a spurious negative component.
     scale = float(np.max(np.abs(rho)))
     rho = np.where(np.abs(rho) <= 1e-12 * scale, 0.0, rho)
-    rho.setflags(write=False)
     q = normalized_energy(rho, m)
     lower, upper = (total - 1) / 2.0, (total + 1) / 2.0
     expected_q = total / 2.0
@@ -294,7 +285,7 @@ def torus_special_degree(singularities: SingularitySet, a) -> TorusDegree:
             f"internal error: closed form {degree} disagrees with the "
             f"series route {generic.degree}"
         )
-    return TorusDegree(degree, rho, q)
+    return TorusDegree(degree, instance.rho, q)
 
 
 def existence_certificate(

@@ -14,6 +14,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import SingularMatrix
+from .spectrum import check_reals
 
 __all__ = [
     "InteractionMatrix",
@@ -37,15 +38,7 @@ class InteractionMatrix:
     """Square coupling matrix with a lazily cached inverse."""
 
     def __init__(self, entries) -> None:
-        arr = np.array(entries, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-        if arr.size == 0:
-            raise ValueError("expected a nonempty matrix")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("matrix entries must be finite")
-        arr.setflags(write=False)
-        self._entries = arr
+        self._entries = check_reals(entries, "matrix", ("n", "n"))
         self._inverse: FloatMatrix | None = None
 
     @property

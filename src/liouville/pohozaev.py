@@ -10,7 +10,6 @@ swept out in rho-space.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ from numpy.typing import NDArray
 from .degree import nearest_integer, normalized_energy
 from .errors import DegenerateDirection, NumericOverflow
 from .matrix import ConditionReport, Violation, as_interaction_matrix
-from .spectrum import check_real
+from .spectrum import check_real, check_reals
 
 __all__ = [
     "MassVector",
@@ -43,12 +42,7 @@ class MassVector:
     mu: float
 
     def __post_init__(self) -> None:
-        sigma = np.array(self.sigma, dtype=np.float64)
-        if sigma.ndim != 1:
-            raise ValueError("sigma must be a vector")
-        if not np.all(np.isfinite(sigma)) or np.any(sigma < 0.0):
-            raise ValueError("sigma components must be finite and nonnegative")
-        sigma.setflags(write=False)
+        sigma = check_reals(self.sigma, "sigma", ("n",), 0.0, closed=True)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "mu", check_real(self.mu, "mu", 0.0))
 
@@ -87,11 +81,7 @@ def solve_mass_on_hypersurface(a, mu: float, direction) -> MassVector:
     """
     mu = check_real(mu, "mu", 0.0)
     m = as_interaction_matrix(a)
-    d = np.asarray(direction, dtype=np.float64)
-    if d.ndim != 1 or d.shape[0] != m.n:
-        raise ValueError(f"direction must be a vector of length {m.n}")
-    if np.any(d <= 0.0):
-        raise ValueError("direction components must be strictly positive")
+    d = check_reals(direction, "direction", (m.n,), 0.0)
     # The masses do not change when d is scaled. Scaling by a power of
     # two brings d^T A d into range and, where no intermediate leaves the
     # normal range, rounds exactly as before, so the masses keep their
@@ -148,10 +138,10 @@ def nonsimple_blowup_admissible(gamma: float) -> bool:
 def _blowup_weights(mus) -> NDArray[np.float64]:
     """The weights mu_l of the blowup points, checked to be a nonempty
     vector of positive numbers with 8 pi sum_l mu_l finite."""
-    mus = np.asarray(mus, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
+    mus = check_reals(mus, "mus", ("L",), 0.0)
+    with np.errstate(over="ignore"):
         total = 8.0 * math.pi * mus.sum()
-    if mus.ndim != 1 or not (mus.size and np.all(mus > 0) and np.isfinite(total)):
+    if not np.isfinite(total):
         raise ValueError("mus must be positive weights with a finite total")
     return mus
 
@@ -161,12 +151,10 @@ def local_mass_split(rho, mus) -> NDArray[np.float64]:
     weights: sigma_{i,l} = rho_i mu_l / (2 pi sum_s mu_s).
 
     Rows reconstruct rho: 2 pi sum_l sigma_{i,l} = rho_i. ValueError
-    unless every rho_i is finite and nonnegative and the mu_l are a
-    nonempty vector of positive numbers with a finite total.
+    unless rho is a nonempty vector of finite nonnegative numbers and the
+    mu_l are a nonempty vector of positive numbers with a finite total.
     """
-    rho = np.asarray(rho, dtype=np.float64)
-    if not np.all((rho >= 0.0) & (rho <= sys.float_info.max)):
-        raise ValueError("all masses rho_i must be finite and nonnegative")
+    rho = check_reals(rho, "rho", ("n",), 0.0, closed=True)
     mus = _blowup_weights(mus)
     return rho[:, None] * (mus[None, :] / (2.0 * math.pi * mus.sum()))
 

@@ -30,7 +30,7 @@ from .errors import (
     StepFailure,
     ZeroMassDensity,
 )
-from .spectrum import SingularitySet, check_integer, check_real
+from .spectrum import SingularitySet, check_integer, check_real, check_reals
 
 __all__ = [
     "TorusGrid",
@@ -145,13 +145,7 @@ class FieldSet:
     values: FloatGrid
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=np.float64)
-        if values.ndim != 3 or values.shape[1] != values.shape[2]:
-            raise ValueError(f"expected shape (n, M, M), got {values.shape}")
-        if not values.size:
-            raise ValueError(f"expected n, M >= 1, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("field is not finite: it holds NaN or infinite values")
+        values = check_reals(self.values, "field", ("n", "M", "M"))
         # The rounding error of a mean grows with the field's size. An
         # overflowing sum gives an infinite mean, which fails below.
         with np.errstate(over="ignore"):
@@ -164,7 +158,6 @@ class FieldSet:
                 f"component mean {worst:.3e} exceeds the mean-zero "
                 f"tolerance {tol:.3g}"
             )
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     @property
@@ -247,13 +240,7 @@ def build_weights(w: WeightSpec, grid: TorusGrid) -> FloatGrid:
     m = grid.resolution
     rows = []
     for i, factor in enumerate(w.smooth_factors):
-        g = _evaluate_smooth_factor(factor, grid)
-        if not (np.all(np.isfinite(g)) and g.min() > 0.0):
-            raise ValueError(
-                f"smooth factor {i} must be finite and strictly positive "
-                f"everywhere"
-            )
-        rows.append(g)
+        rows.append(_evaluate_smooth_factor(factor, f"smooth_factors[{i}]", grid))
     h = np.stack(rows) if rows else np.zeros((0, m, m))
     sing = w.singularities
     if sing.count:
@@ -274,20 +261,17 @@ def build_weights(w: WeightSpec, grid: TorusGrid) -> FloatGrid:
     return h
 
 
-def _evaluate_smooth_factor(factor, grid: TorusGrid) -> FloatGrid:
+def _evaluate_smooth_factor(factor, name: str, grid: TorusGrid) -> FloatGrid:
+    """The factor on the grid; ValueError unless it is a positive number
+    or an (M, M) array of them."""
     m = grid.resolution
     if factor is None:
         return np.ones((m, m))
     if callable(factor):
         factor = factor(grid.x, grid.y)
-    arr = np.asarray(factor, dtype=np.float64)
-    if arr.ndim == 0:
-        return np.full((m, m), float(arr))
-    if arr.shape != (m, m):
-        raise ValueError(
-            f"smooth factor has shape {arr.shape}, expected {(m, m)}"
-        )
-    return arr
+    grid_shaped = isinstance(factor, (list, tuple)) or np.ndim(factor)
+    arr = check_reals(factor, name, (m, m) if grid_shaped else (), 0.0)
+    return arr if grid_shaped else np.full((m, m), float(arr))
 
 
 def _require_shape(p: ProblemInstance, grid: TorusGrid, **arrays) -> None:

@@ -41,6 +41,7 @@ _INT64_MAX = 2**63 - 1
 
 # The types of a real input; a bool, although an int, is refused apart.
 _REALS = (float, int, np.floating, np.integer)
+_BOOLS = frozenset((bool, np.bool_))
 
 
 def check_integer(value, name: str, nonnegative: bool = False) -> int:
@@ -63,13 +64,92 @@ def check_real(value, name: str, low: float, closed=False, index=None) -> float:
     ):
         if index is not None:
             name = f"{name}[{index}]"
-        bound = f"{'>=' if closed else '>'} {low:g}"
+        bound = f" and {'>=' if closed else '>'} {low:g}"
         if low == 0.0:
-            bound = "nonnegative" if closed else "positive"
+            bound = " and nonnegative" if closed else " and positive"
+        elif low == -math.inf:
+            bound = ""
         raise ValueError(
-            f"{name} must be a real number, finite and {bound}, got {value!r}"
+            f"{name} must be a real number, finite{bound}, got {value!r}"
         )
     return float(value)
+
+
+def check_reals(values, name: str, shape: tuple, low=-math.inf, closed=False):
+    """values as a read-only float64 array; ValueError unless it has the
+    given shape and each entry passes ``check_real(entry, name, low,
+    closed)``. In ``shape`` an int is a length and a str names a length
+    of at least 1, the same wherever the name recurs. The error names the
+    first offending part, as ``name[i][j]``."""
+    try:
+        arr = np.array(values)
+        # np.array([1.0, True]) is float64: a bool among the numbers of
+        # a list shows in its entries, not in the dtype.
+        ok = (
+            arr.dtype.kind in "fiu"
+            and _fits(arr.shape, shape)
+            and (
+                isinstance(values, np.ndarray)
+                or _BOOLS.isdisjoint(map(type, _flat(values, arr.ndim)))
+            )
+        )
+    except ValueError:  # ragged
+        ok = False
+    if ok:
+        arr = arr.astype(np.float64, copy=False)
+        least = arr.min(initial=math.inf) if low > -math.inf else math.inf
+        ok = bool(np.isfinite(arr).all()) and (low <= least if closed else low < least)
+    if not ok:
+        # Only to name what is wrong; an object array of ints within the
+        # double range, such as [2**64], passes.
+        actual = _shape_of(values, name)
+        if not _fits(actual, shape):
+            names = ", ".join(dict.fromkeys(d for d in shape if isinstance(d, str)))
+            spec = str(tuple(shape)).replace("'", "")
+            raise ValueError(
+                f"{name} must have shape {spec}"
+                f"{f' with {names} >= 1' if names else ''}, got {actual}"
+            )
+        entries = np.array(values, dtype=object)
+        for index in np.ndindex(actual):
+            where = name + "".join(f"[{i}]" for i in index)
+            check_real(entries[index], where, low, closed)
+        arr = entries.astype(np.float64)
+    arr.setflags(write=False)
+    return arr
+
+
+def _flat(values, ndim: int):
+    """The entries of nested sequences with ndim levels, in order."""
+    return values if ndim == 1 else np.array(values, dtype=object).flat
+
+
+def _fits(actual: tuple[int, ...], shape: tuple) -> bool:
+    """Whether an array of shape ``actual`` has ``shape``, read as in
+    ``check_reals``."""
+    if len(actual) != len(shape):
+        return False
+    sizes: dict[str, int] = {}
+    for d, k in zip(shape, actual):
+        if k != (sizes.setdefault(d, k) or -1 if isinstance(d, str) else d):
+            return False
+    return True
+
+
+def _shape_of(values, name: str) -> tuple[int, ...]:
+    """The shape of nested lists and arrays; ValueError naming the first
+    part whose shape differs from that of its first sibling."""
+    if isinstance(values, np.ndarray):
+        return values.shape
+    if not isinstance(values, (list, tuple)):
+        return ()
+    shapes = [_shape_of(v, f"{name}[{i}]") for i, v in enumerate(values)]
+    for i, s in enumerate(shapes):
+        if s != shapes[0]:
+            raise ValueError(
+                f"{name}[{i}] has shape {s}, but {name}[0] has shape {shapes[0]}"
+            )
+    return (len(values), *(shapes[0] if shapes else ()))
 
 
 @dataclass(frozen=True)
@@ -89,18 +169,9 @@ class SingularitySet:
         )
         object.__setattr__(self, "gammas", gammas)
         if self.positions is not None:
-            positions = tuple(
-                (
-                    check_real(p[0], "position", -math.inf, index=l),
-                    check_real(p[1], "position", -math.inf, index=l),
-                )
-                for l, p in enumerate(self.positions)
-            )
+            where = check_reals(self.positions, "position", (len(gammas), 2))
+            positions = tuple(map(tuple, where.tolist()))
             object.__setattr__(self, "positions", positions)
-            if len(positions) != len(gammas):
-                raise ValueError(
-                    f"{len(positions)} positions for {len(gammas)} strengths"
-                )
             if len(set(positions)) != len(positions):
                 raise ValueError("singular positions must be pairwise distinct")
 

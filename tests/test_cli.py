@@ -109,9 +109,12 @@ def test_surface_forms(tmp_path):
         ({}, "matrix"),
         ({"matrix": []}, "matrix"),
         ({"matrix": [[1.0]], "bogus": 1}, "unknown config field"),
-        ({"matrix": [1.0]}, "matrix[0]"),
+        ({"matrix": [1.0]}, "matrix: matrix must have shape (n, n)"),
         ({"matrix": [[True]]}, "matrix[0][0]"),
-        ({"matrix": [[1.0]], "rho": [1.0, 2.0]}, "expected 1 entries"),
+        (
+            {"matrix": [[1.0]], "rho": [1.0, 2.0]},
+            "rho: rho must have shape (1,), got (2,)",
+        ),
         ({"matrix": [[1.0]], "rho": 3.0}, "rho"),
         ({"matrix": [[1.0]], "surface": {"chi": 0, "genus": 1}}, "unexpected"),
         ({"matrix": [[1.0]], "surface": {"type": "torus"}}, "surface.type"),
@@ -149,7 +152,7 @@ def test_surface_forms(tmp_path):
                 "matrix": [[1.0]],
                 "singularities": [{"gamma": 1.0, "position": [True, False]}],
             },
-            "singularities[0].position[0]: expected a number",
+            "singularities[0].position: position[0] must be a real number",
         ),
         (
             {"matrix": [[1.0]], "solver": {"steps": MAX_STEPS + 1}},
@@ -183,8 +186,25 @@ def test_surface_forms(tmp_path):
             {"matrix": [[1.0]], "caps": {"tolerance": -1.0}},
             "caps.tolerance: critical tolerance",
         ),
-        ({"matrix": [[1.0, 2.0]]}, "matrix: expected a square matrix"),
-        ({"matrix": [[1.0], [1.0, 2.0]]}, "matrix[1]: "),
+        (
+            {"matrix": [[1.0, 2.0]]},
+            "matrix: matrix must have shape (n, n) with n >= 1, got (1, 2)",
+        ),
+        (
+            {"matrix": [[1.0], [1.0, 2.0]]},
+            "matrix: matrix[1] has shape (2,), but matrix[0] has shape (1,)",
+        ),
+        (
+            {
+                "matrix": [[1.0]],
+                "singularities": [{"gamma": 1.0, "postion": [0.1, 0.2]}],
+            },
+            "singularities[0]: unexpected fields ['postion']",
+        ),
+        (
+            {"matrix": [[1.0]], "singularities": [{}]},
+            'singularities[0]: expected an object with "gamma"',
+        ),
     ],
 )
 def test_config_errors_name_their_field(tmp_path, data, anchor):
@@ -279,7 +299,7 @@ def test_non_finite_json_constants_are_rejected(tmp_path, template, constant):
         ),
         (
             '{"matrix": [[1.0]], "rho": [1e999]}',
-            "rho[0]: expected a finite number, got inf",
+            "rho: rho[0] must be a real number, finite, got inf",
         ),
     ],
     ids=["float", "negative-float", "int", "array-entry"],

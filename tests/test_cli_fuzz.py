@@ -87,6 +87,10 @@ POISON = (
     ("caps", {"tolerance": -1.0}),
     ("mu", 0.0),
     ("rho", [True]),
+    ("sigma", [None]),
+    ("direction", ["1"]),
+    ("matrix", [[1.0], [1.0, 2.0]]),
+    ("singularities", [{"gamma": 1, "position": [0.1, 0.2, 0.3]}]),
     ("extra", 1),
 )
 FLAG_VALUES = {

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -565,7 +566,7 @@ def test_non_finite_arguments_raise_value_error(call, value):
             lambda: ProblemInstance(
                 SurfaceSpec.torus(), _SOURCES, InteractionMatrix(EXCHANGE), (1.0,)
             ),
-            "rho must be a vector of length 2",
+            r"rho must have shape \(2,\), got \(1,\)",
             id="ProblemInstance-rho-length",
         ),
         pytest.param(
@@ -575,49 +576,171 @@ def test_non_finite_arguments_raise_value_error(call, value):
                 InteractionMatrix(EXCHANGE),
                 (1.0, math.inf),
             ),
-            "rho entries must be finite",
+            r"rho\[1\] must be a real number, finite, got inf",
             id="ProblemInstance-rho-finite",
         ),
         pytest.param(
             lambda: normalized_energy((1.0,), EXCHANGE),
-            "rho must be a vector of length 2",
+            r"rho must have shape \(2,\), got \(1,\)",
             id="normalized_energy-rho-length",
         ),
         pytest.param(
             lambda: InteractionMatrix(np.zeros((0, 0))),
-            "expected a nonempty matrix",
+            r"matrix must have shape \(n, n\) with n >= 1, got \(0, 0\)",
             id="InteractionMatrix-empty",
         ),
         pytest.param(
             lambda: liouville.MassVector([[1.0, 2.0]], 2.0),
-            "sigma must be a vector",
+            r"sigma must have shape \(n,\) with n >= 1, got \(1, 2\)",
             id="MassVector-sigma-2d",
         ),
         pytest.param(
             lambda: liouville.solve_mass_on_hypersurface(EXCHANGE, 1.0, (1.0,)),
-            "direction must be a vector of length 2",
+            r"direction must have shape \(2,\), got \(1,\)",
             id="solve_mass_on_hypersurface-direction-length",
         ),
         pytest.param(
             lambda: liouville.FieldSet(np.zeros((1, 8, 4))),
-            r"expected shape \(n, M, M\), got \(1, 8, 4\)",
+            r"field must have shape \(n, M, M\) with n, M >= 1, got \(1, 8, 4\)",
             id="FieldSet-non-square",
         ),
         pytest.param(
             lambda: liouville.FieldSet(np.zeros((1, 0, 0))),
-            r"expected n, M >= 1, got shape \(1, 0, 0\)",
+            r"field must have shape \(n, M, M\) with n, M >= 1, got \(1, 0, 0\)",
             id="FieldSet-no-nodes",
         ),
         pytest.param(
             lambda: liouville.FieldSet(np.zeros((0, 4, 4))),
-            r"expected n, M >= 1, got shape \(0, 4, 4\)",
+            r"field must have shape \(n, M, M\) with n, M >= 1, got \(0, 4, 4\)",
             id="FieldSet-no-components",
+        ),
+        pytest.param(
+            lambda: InteractionMatrix([[1.0], [1.0, 2.0]]),
+            r"matrix\[1\] has shape \(2,\), but matrix\[0\] has shape \(1,\)",
+            id="InteractionMatrix-ragged",
+        ),
+        pytest.param(
+            lambda: SingularitySet((0.5,), ((0.1, 0.2, 0.3),)),
+            r"position must have shape \(1, 2\), got \(1, 3\)",
+            id="SingularitySet-position-three-coordinates",
+        ),
+        pytest.param(
+            lambda: SingularitySet((0.5,), ((0.1,),)),
+            r"position must have shape \(1, 2\), got \(1, 1\)",
+            id="SingularitySet-position-one-coordinate",
+        ),
+        pytest.param(
+            lambda: SingularitySet((0.5,), (0.1,)),
+            r"position must have shape \(1, 2\), got \(1,\)",
+            id="SingularitySet-position-scalar",
+        ),
+        pytest.param(
+            lambda: liouville.local_mass_split(5.0, [1.0]),
+            r"rho must have shape \(n,\) with n >= 1, got \(\)",
+            id="local_mass_split-rho-scalar",
+        ),
+        pytest.param(
+            lambda: liouville.local_mass_split([[5.0]], [1.0]),
+            r"rho must have shape \(n,\) with n >= 1, got \(1, 1\)",
+            id="local_mass_split-rho-2d",
         ),
     ],
 )
 def test_input_checks_refuse_malformed_arguments(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def _poisoned(base, index, value):
+    """base as nested lists, with value at index."""
+    entries = np.asarray(base, dtype=float).tolist()
+    *outer, last = index
+    row = entries
+    for i in outer:
+        row = row[i]
+    row[last] = value
+    return entries
+
+
+# Each array argument: a call taking it, a valid value for it, where the
+# poison goes, and the name the error gives that entry.
+_ARRAY_ARGUMENTS = {
+    "InteractionMatrix": (InteractionMatrix, np.ones((2, 2)), (1, 0), "matrix[1][0]"),
+    "ProblemInstance-rho": (
+        lambda rho: ProblemInstance(
+            SurfaceSpec.torus(), _SOURCES, InteractionMatrix(EXCHANGE), rho
+        ),
+        np.ones(2),
+        (1,),
+        "rho[1]",
+    ),
+    "normalized_energy": (
+        lambda rho: normalized_energy(rho, EXCHANGE), np.ones(2), (1,), "rho[1]"
+    ),
+    "MassVector-sigma": (
+        lambda sigma: liouville.MassVector(sigma, 1.0), np.ones(3), (2,), "sigma[2]"
+    ),
+    "solve_mass_on_hypersurface-direction": (
+        lambda d: liouville.solve_mass_on_hypersurface(EXCHANGE, 1.0, d),
+        np.ones(2),
+        (0,),
+        "direction[0]",
+    ),
+    "critical_surface_from_blowup-mus": (
+        lambda mus: liouville.critical_surface_from_blowup(EXCHANGE, (1.0, 2.0), mus),
+        np.ones(3),
+        (1,),
+        "mus[1]",
+    ),
+    "local_mass_split-rho": (
+        lambda rho: liouville.local_mass_split(rho, (1.0,)), np.ones(2), (1,), "rho[1]"
+    ),
+    "local_mass_split-mus": (
+        lambda mus: liouville.local_mass_split((1.0,), mus), np.ones(2), (0,), "mus[0]"
+    ),
+    "FieldSet": (liouville.FieldSet, np.zeros((2, 4, 4)), (1, 2, 3), "field[1][2][3]"),
+    "build_weights-smooth-factor": (
+        lambda g: liouville.build_weights(
+            liouville.WeightSpec((None, g), SingularitySet.empty()),
+            liouville.TorusGrid(4),
+        ),
+        np.ones((4, 4)),
+        (2, 3),
+        "smooth_factors[1][2][3]",
+    ),
+    "SingularitySet-positions": (
+        lambda p: SingularitySet((0.5, 1.5), p),
+        np.array([[0.1, 0.2], [0.3, 0.4]]),
+        (1, 1),
+        "position[1][1]",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["1", True, None, math.nan, math.inf, 10**400],
+    ids=["str", "bool", "none", "nan", "inf", "huge-int"],
+)
+@pytest.mark.parametrize(
+    ("call", "base", "index", "name"),
+    list(_ARRAY_ARGUMENTS.values()),
+    ids=list(_ARRAY_ARGUMENTS),
+)
+def test_array_arguments_name_a_refused_entry(call, base, index, name, value):
+    # Given as lists, a string of digits or a bool is not taken for a
+    # number among numbers, and the error names the entry.
+    call(_poisoned(base, index, base[index]))
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be a real number")):
+        call(_poisoned(base, index, value))
+
+
+# None stands for the constant factor 1.
+@pytest.mark.parametrize("value", ["2", True, math.nan, math.inf, 10**400])
+def test_a_scalar_smooth_factor_follows_the_same_rule(value):
+    w = liouville.WeightSpec((value,), SingularitySet.empty())
+    with pytest.raises(ValueError, match=re.escape("smooth_factors[0] must be a real")):
+        liouville.build_weights(w, liouville.TorusGrid(4))
 
 
 def test_package_exports_every_module_export():

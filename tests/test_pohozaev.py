@@ -307,7 +307,7 @@ def test_surface_requires_some_mass():
     ("a", "rho", "error"),
     [
         ([[1.0]], (1e300,), NumericOverflow),
-        ([[1.0]], (math.nan,), NumericOverflow),
+        ([[1.0]], (math.nan,), ValueError),
         (EXCHANGE, (-1.0, 5.0), NegativeRho),
     ],
     ids=["overflow", "nan", "negative"],

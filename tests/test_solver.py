@@ -9,6 +9,7 @@ must shrink at the grid-squared rate.
 
 import hashlib
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -165,7 +166,10 @@ def test_fieldset_rejects_non_finite_values(entries):
     values = np.zeros((2, 8, 8))
     for index, value in entries.items():
         values[index] = value
-    with pytest.raises(ValueError, match="not finite"):
+    first = min(entries)
+    where = "field" + "".join(f"[{i}]" for i in first)
+    message = f"{where} must be a real number, finite, got {entries[first]!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         FieldSet(values)
 
 
@@ -327,8 +331,9 @@ def test_weights_reject_negative_strengths_and_factors():
         )
     one_nan = np.ones((16, 16))
     one_nan[3, 5] = np.nan
-    for factor in (np.nan, np.inf, one_nan):
-        with pytest.raises(ValueError, match="finite and strictly positive"):
+    for factor, where in ((np.nan, ""), (np.inf, ""), (one_nan, "[3][5]")):
+        message = f"smooth_factors[0]{where} must be a real number, finite and positive"
+        with pytest.raises(ValueError, match=re.escape(message)):
             build_weights(WeightSpec((factor,), SingularitySet.empty()), grid)
 
 
@@ -1140,7 +1145,9 @@ def test_weights_refuse_positions_that_coincide_on_the_torus():
 )
 def test_smooth_factors_of_the_wrong_shape_are_refused(factor):
     w = WeightSpec((factor,), SingularitySet.empty())
-    with pytest.raises(ValueError, match=r"has shape \(8, 8\), expected \(16, 16\)"):
+    with pytest.raises(
+        ValueError, match=r"smooth_factors\[0\] must have shape \(16, 16\), got \(8, 8\)"
+    ):
         build_weights(w, TorusGrid(16))
 
 
