@@ -24,7 +24,6 @@ from .errors import (
     LiouvilleError,
     NoConvergence,
     OnCriticalSurface,
-    SingularMatrix,
     StepFailure,
 )
 from .matrix import ConditionReport, check_h1, check_h2
@@ -57,7 +56,9 @@ _FLAGS = {
         type=float, help="distance to a level that counts as critical"
     ),
     "--resolution": dict(type=int, help="solver grid resolution override"),
-    "--out": dict(help="write solver fields to this path"),
+    "--out": dict(
+        help="write solver fields to this path: CSV if it ends in .csv, else binary"
+    ),
     "--field": dict(required=True, help="field dump produced by solve --out"),
 }
 
@@ -131,22 +132,12 @@ def _report_payload(report: ConditionReport) -> dict:
 
 
 def _cmd_check_matrix(cfg: InstanceConfig, args) -> tuple[dict, int]:
-    h1 = check_h1(cfg.matrix)
-    try:
-        h2_payload = _report_payload(check_h2(cfg.matrix))
-    except SingularMatrix as exc:
-        h2_payload = {
-            "holds": False,
-            "violations": [
-                {"condition": "invertible", "indices": [], "value": None}
-            ],
-            "error": str(exc),
-        }
+    h1, h2 = check_h1(cfg.matrix), check_h2(cfg.matrix)
     payload = {
         "standard_hypothesis": _report_payload(h1),
-        "strong_interaction_hypothesis": h2_payload,
+        "strong_interaction_hypothesis": _report_payload(h2),
     }
-    return payload, 0 if (h1.holds and h2_payload["holds"]) else 2
+    return payload, 0 if h1.holds and h2.holds else 2
 
 
 def _cmd_spectrum(cfg: InstanceConfig, args) -> tuple[dict, int]:
@@ -217,8 +208,9 @@ def _cmd_solve(cfg: InstanceConfig, args) -> tuple[dict, int]:
     instance, weights, grid = _solver_pieces(cfg, resolution)
     result = solve_continuation(instance, weights, grid, cfg.solver)
     if args.out:
-        fieldio.write_binary(args.out, result.fields.values)
-        fieldio.write_csv(str(args.out) + ".csv", result.fields.values)
+        csv = args.out.endswith(".csv")
+        write = fieldio.write_csv if csv else fieldio.write_binary
+        write(args.out, result.fields.values)
     return {
         "resolution": grid.resolution,
         "q": normalized_energy(instance.rho, instance.matrix),

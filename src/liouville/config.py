@@ -64,12 +64,8 @@ def load_config(path: str | Path) -> InstanceConfig:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(str(path), f"cannot read config: {exc}") from exc
-
-    def reject_constant(name: str):
-        raise ConfigError(str(path), f"{name} is not a finite number")
-
     try:
-        raw = json.loads(text, parse_constant=reject_constant)
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}", f"invalid JSON: {exc.msg}"

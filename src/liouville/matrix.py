@@ -154,8 +154,7 @@ def check_h1(a) -> ConditionReport:
     try:
         m.inverse()
     except SingularMatrix:
-        cond = float(np.linalg.cond(entries))
-        violations.append(Violation("invertible", (), cond))
+        violations.append(_singular(m))
     return ConditionReport(tuple(violations))
 
 
@@ -165,15 +164,14 @@ def check_h2(a) -> ConditionReport:
     Requires a^{ii} <= 0, a^{ij} >= 0 for i != j, and nonnegative row
     sums, all up to ``DEFAULT_TOL``. Vacuous for n = 1: with a single
     component there is no interaction to constrain, and the literal sign
-    conditions would force a^{11} = 0 against invertibility.
-
-    Raises
-    ------
-    SingularMatrix
-        Propagated from the inversion.
+    conditions would force a^{11} = 0 against invertibility. A singular
+    matrix fails with the ``invertible`` violation of ``check_h1``.
     """
     m = as_interaction_matrix(a)
-    inv = m.inverse()
+    try:
+        inv = m.inverse()
+    except SingularMatrix:
+        return ConditionReport((_singular(m),))
     n = m.n
     if n == 1:
         return ConditionReport(())
@@ -192,6 +190,11 @@ def check_h2(a) -> ConditionReport:
         if row_sums[i] < -DEFAULT_TOL:
             violations.append(Violation("inverse-row-sum", (i,), float(row_sums[i])))
     return ConditionReport(tuple(violations))
+
+
+def _singular(m: InteractionMatrix) -> Violation:
+    """The violation that reports m as singular, valued at its condition number."""
+    return Violation("invertible", (), float(np.linalg.cond(m.entries)))
 
 
 def _component_of_zero(entries: FloatMatrix) -> tuple[int, ...]:

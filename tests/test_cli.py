@@ -18,6 +18,7 @@ from liouville import (
     SingularitySet,
     SolverOptions,
     SurfaceSpec,
+    check_h1,
     enumerate_spectrum,
     fieldio,
     locate_region,
@@ -266,20 +267,45 @@ def test_config_gives_the_text_of_the_type_it_builds(tmp_path, field, section, m
 
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
 @pytest.mark.parametrize(
-    "template",
+    "template, anchor",
     [
-        '{"matrix": [[1.0]], "rho": [%s]}',
-        '{"matrix": [[1.0]], "solver": {"tol": %s}}',
-        '{"matrix": [[1.0]], "caps": {"tolerance": %s}}',
-        '{"matrix": [[1.0]], "singularities": [{"gamma": 1, "position": [0, %s]}]}',
+        ('{"matrix": [[1.0]], "rho": [%s]}', "rho: rho[0] "),
+        ('{"matrix": [[1.0]], "solver": {"tol": %s}}', "solver.tol: tol "),
+        (
+            '{"matrix": [[1.0]], "caps": {"tolerance": %s}}',
+            "caps.tolerance: critical tolerance ",
+        ),
+        (
+            '{"matrix": [[1.0]], "singularities": [{"gamma": 1, "position": [0, %s]}]}',
+            "singularities[0].position: position[1] ",
+        ),
+        ('{"matrix": [[1.0, %s], [1.0, 1.0]]}', "matrix: matrix[0][1] "),
+        ('{"matrix": [[1.0]], "surface": {"chi": %s}}', "surface.chi: chi "),
+        (
+            '{"matrix": [[1.0]], "singularities": [{"gamma": %s}]}',
+            "singularities: gamma[0] ",
+        ),
+        ('{"matrix": [[1.0]], "mu": %s}', "mu: mu "),
     ],
-    ids=["rho", "solver.tol", "caps.tolerance", "position"],
+    ids=[
+        "rho",
+        "solver.tol",
+        "caps.tolerance",
+        "position",
+        "matrix",
+        "surface.chi",
+        "gamma",
+        "mu",
+    ],
 )
-def test_non_finite_json_constants_are_rejected(tmp_path, template, constant):
+def test_non_finite_json_constants_are_rejected(tmp_path, template, anchor, constant):
+    # JSON's NaN and Infinity meet the same rules as 1e999, at their field.
     p = tmp_path / "cfg.json"
     p.write_text(template % constant)
-    with pytest.raises(ConfigError, match="not a finite number"):
+    with pytest.raises(ConfigError) as info:
         load_config(p)
+    assert str(info.value).startswith(anchor)
+    assert str(info.value).endswith(f", got {float(constant)!r}")
 
 
 @pytest.mark.parametrize(
@@ -477,9 +503,17 @@ def test_check_matrix_singular_input(tmp_path, capsys):
     path = write_config(tmp_path, {"matrix": [[1.0, 1.0], [1.0, 1.0]]})
     code, payload = run_json(capsys, "check-matrix", path)
     assert code == 2
-    strong = payload["strong_interaction_hypothesis"]
-    assert strong["holds"] is False
-    assert "error" in strong
+    # Both reports carry the one invertible violation, at the condition number.
+    (violation,) = check_h1([[1.0, 1.0], [1.0, 1.0]]).violations
+    assert violation.condition == "invertible"
+    report = {
+        "holds": False,
+        "violations": [
+            {"condition": "invertible", "indices": [], "value": violation.value}
+        ],
+    }
+    assert payload["standard_hypothesis"] == report
+    assert payload["strong_interaction_hypothesis"] == report
 
 
 def test_pohozaev_command(tmp_path, capsys):
@@ -539,8 +573,7 @@ def test_solve_then_verify_round_trip(tmp_path, capsys):
     assert payload["max_norm"] > 0.1
     assert len(payload["steps"]) == 10
     assert payload["steps"][-1]["t"] == 1.0
-    assert (tmp_path / "fields.bin").exists()
-    assert (tmp_path / "fields.bin.csv").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "fields.bin"]
 
     code, report = run_json(capsys, "verify", cfg, "--field", dump)
     assert code == 0
@@ -552,17 +585,19 @@ def test_solve_then_verify_round_trip(tmp_path, capsys):
 
 def test_solve_output_is_deterministic(tmp_path, capsys):
     cfg = singular_solve_config(tmp_path)
-    out1 = tmp_path / "a.bin"
-    out2 = tmp_path / "b.bin"
-    assert main(["solve", cfg, "--json", "--out", str(out1)]) == 0
-    text1 = capsys.readouterr().out
-    assert main(["solve", cfg, "--json", "--out", str(out2)]) == 0
-    text2 = capsys.readouterr().out
-    assert text1 == text2
-    assert out1.read_bytes() == out2.read_bytes()
-    assert (tmp_path / "a.bin.csv").read_bytes() == (
-        tmp_path / "b.bin.csv"
-    ).read_bytes()
+    outs = [tmp_path / name for name in ("a.bin", "b.bin", "a.csv", "b.csv")]
+    texts = []
+    for out in outs:
+        assert main(["solve", cfg, "--json", "--out", str(out)]) == 0
+        texts.append(capsys.readouterr().out)
+    assert texts == texts[:1] * len(outs)
+    # One dump per --out: CSV when the path ends in .csv, else binary.
+    names = ["a.bin", "a.csv", "b.bin", "b.csv", "cfg.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert outs[2].read_bytes() == outs[3].read_bytes()
+    fieldio.write_csv(tmp_path / "expected.csv", fieldio.read_binary(outs[0]))
+    assert outs[2].read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
 def test_solve_trivial_instance_stays_at_zero(tmp_path, capsys):
