@@ -128,25 +128,27 @@ def irreducible(a) -> bool:
 def check_h1(a) -> ConditionReport:
     """Standard hypothesis: symmetric, nonnegative, irreducible, invertible.
 
-    Symmetry and signs hold up to ``DEFAULT_TOL``. Failures are reported,
-    never raised; a singular matrix shows up as an ``invertible`` violation.
+    Symmetry and signs hold up to ``DEFAULT_TOL`` times the largest
+    |a_ij|, so the verdict does not depend on the scale of A. Failures
+    are reported, never raised; a singular matrix shows up as an
+    ``invertible`` violation.
     """
     m = as_interaction_matrix(a)
     entries = m.entries
     n = m.n
+    # As Python floats, a gap beyond the double range is inf, not a warning.
+    rows = entries.tolist()
+    tol = DEFAULT_TOL * max([abs(x) for row in rows for x in row])
     violations: list[Violation] = []
     for i in range(n):
         for j in range(i + 1, n):
-            # As Python floats, a gap beyond the double range is inf, not a warning.
-            gap = float(entries[i, j]) - float(entries[j, i])
-            if abs(gap) > DEFAULT_TOL:
-                violations.append(Violation("symmetric", (i, j), float(gap)))
+            gap = rows[i][j] - rows[j][i]
+            if abs(gap) > tol:
+                violations.append(Violation("symmetric", (i, j), gap))
     for i in range(n):
         for j in range(n):
-            if entries[i, j] < -DEFAULT_TOL:
-                violations.append(
-                    Violation("nonnegative", (i, j), float(entries[i, j]))
-                )
+            if rows[i][j] < -tol:
+                violations.append(Violation("nonnegative", (i, j), rows[i][j]))
     comp = _component_of_zero(entries)
     if len(comp) != n:
         # Witness: the connected component of index 0.
@@ -162,10 +164,12 @@ def check_h2(a) -> ConditionReport:
     """Strong-interaction hypothesis on the inverse entries a^{ij}.
 
     Requires a^{ii} <= 0, a^{ij} >= 0 for i != j, and nonnegative row
-    sums, all up to ``DEFAULT_TOL``. Vacuous for n = 1: with a single
-    component there is no interaction to constrain, and the literal sign
-    conditions would force a^{11} = 0 against invertibility. A singular
-    matrix fails with the ``invertible`` violation of ``check_h1``.
+    sums, all up to ``DEFAULT_TOL`` times the largest |a^{ij}|, so the
+    verdict does not depend on the scale of A. Vacuous for n = 1: with a
+    single component there is no interaction to constrain, and the
+    literal sign conditions would force a^{11} = 0 against
+    invertibility. A singular matrix fails with the ``invertible``
+    violation of ``check_h1``.
     """
     m = as_interaction_matrix(a)
     try:
@@ -175,19 +179,19 @@ def check_h2(a) -> ConditionReport:
     n = m.n
     if n == 1:
         return ConditionReport(())
+    rows = inv.tolist()
+    tol = DEFAULT_TOL * max([abs(x) for row in rows for x in row])
     violations: list[Violation] = []
     for i in range(n):
-        if inv[i, i] > DEFAULT_TOL:
-            violations.append(Violation("inverse-diagonal", (i, i), float(inv[i, i])))
+        if rows[i][i] > tol:
+            violations.append(Violation("inverse-diagonal", (i, i), rows[i][i]))
     for i in range(n):
         for j in range(n):
-            if i != j and inv[i, j] < -DEFAULT_TOL:
-                violations.append(
-                    Violation("inverse-offdiagonal", (i, j), float(inv[i, j]))
-                )
+            if i != j and rows[i][j] < -tol:
+                violations.append(Violation("inverse-offdiagonal", (i, j), rows[i][j]))
     row_sums = inv.sum(axis=1)
     for i in range(n):
-        if row_sums[i] < -DEFAULT_TOL:
+        if row_sums[i] < -tol:
             violations.append(Violation("inverse-row-sum", (i,), float(row_sums[i])))
     return ConditionReport(tuple(violations))
 

@@ -499,6 +499,20 @@ def test_check_matrix_reports_violations_with_exit_2(tmp_path, capsys):
     assert diag[0]["value"] == pytest.approx(2.0 / 3.0)
 
 
+def test_degree_holds_a_large_matrix_to_its_own_scale(tmp_path, capsys):
+    # 1e12 A with 1e-12 rho is the instance A with rho, whose inverse has
+    # a positive diagonal; an absolute tolerance used to answer degree 1.
+    plain = {"matrix": [[1.0, 0.5], [0.5, 1.0]], "rho": [3.0, 2.0]}
+    scaled = {"matrix": [[1e12, 0.5e12], [0.5e12, 1e12]], "rho": [3e-12, 2e-12]}
+    for name, data in (("plain.json", plain), ("scaled.json", scaled)):
+        data.update(surface={"chi": 2}, singularities=[{"gamma": 0.5}])
+        assert main(["degree", write_config(tmp_path, data, name)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error[HypothesisViolation]: strong-interaction hypothesis fails: "
+            "inverse-diagonal[0, 0]="
+        )
+
+
 def test_check_matrix_singular_input(tmp_path, capsys):
     path = write_config(tmp_path, {"matrix": [[1.0, 1.0], [1.0, 1.0]]})
     code, payload = run_json(capsys, "check-matrix", path)
