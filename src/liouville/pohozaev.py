@@ -53,11 +53,13 @@ def pohozaev_residual(a, masses: MassVector) -> float:
 
     Raises
     ------
+    ValueError
+        Unless sigma has one entry per component of A.
     NumericOverflow
         If the residual leaves the double range.
     """
     m = as_interaction_matrix(a)
-    s = masses.sigma
+    s = check_reals(masses.sigma, "sigma", (m.n,))
     with np.errstate(over="ignore", invalid="ignore"):
         value = float(s @ m.entries @ s - 4.0 * masses.mu * s.sum())
     if not math.isfinite(value):
@@ -107,10 +109,12 @@ def solve_mass_on_hypersurface(a, mu: float, direction) -> MassVector:
 
 def minimal_mass_check(a, masses: MassVector) -> ConditionReport:
     """Fully-bubbling lower bound: m_i = sum_j a_ij sigma_j > 2 mu for
-    every component; NumericOverflow if some m_i leaves the double range."""
+    every component; ValueError unless sigma has one entry per component
+    of A, NumericOverflow if some m_i leaves the double range."""
     m = as_interaction_matrix(a)
+    sigma = check_reals(masses.sigma, "sigma", (m.n,))
     with np.errstate(over="ignore", invalid="ignore"):
-        minimal = m.entries @ masses.sigma
+        minimal = m.entries @ sigma
     if not np.all(np.isfinite(minimal)):
         raise NumericOverflow("a minimal mass m_i leaves the double range")
     bound = 2.0 * masses.mu

@@ -644,6 +644,17 @@ def test_non_finite_arguments_raise_value_error(call, value):
             r"rho must have shape \(n,\) with n >= 1, got \(1, 1\)",
             id="local_mass_split-rho-2d",
         ),
+        *(
+            pytest.param(
+                lambda check=check, sigma=sigma: check(
+                    [[1.0]], liouville.MassVector(sigma, 1.0)
+                ),
+                rf"sigma must have shape \(1,\), got \({len(sigma)},\)",
+                id=f"{check.__name__}-sigma-length-{len(sigma)}",
+            )
+            for check in (liouville.pohozaev_residual, liouville.minimal_mass_check)
+            for sigma in ((1.0, 2.0), (1.0, 2.0, 3.0))
+        ),
     ],
 )
 def test_input_checks_refuse_malformed_arguments(call, message):
