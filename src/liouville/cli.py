@@ -59,7 +59,7 @@ _FLAGS = {
     "--out": dict(
         help="write solver fields to this path: CSV if it ends in .csv, else binary"
     ),
-    "--field": dict(required=True, help="field dump produced by solve --out"),
+    "--field": dict(required=True, help="binary field dump produced by solve --out"),
 }
 
 
