@@ -144,9 +144,7 @@ def _parse_surface(raw: dict) -> SurfaceSpec | None:
 
 
 def _parse_singularities(raw: dict) -> SingularitySet:
-    if "singularities" not in raw:
-        return SingularitySet.empty()
-    items = raw["singularities"]
+    items = raw.get("singularities", [])
     if not isinstance(items, list):
         raise ConfigError("singularities", "expected a list")
     gammas, positions = [], []
@@ -168,16 +166,13 @@ def _parse_singularities(raw: dict) -> SingularitySet:
 
 
 def _parse_solver(raw: dict) -> tuple[int, SolverOptions]:
-    defaults = SolverOptions()
-    if "solver" not in raw:
-        return DEFAULT_RESOLUTION, defaults
-    s = raw["solver"]
+    s = raw.get("solver", {})
     _require_object(s, "solver", {"resolution", "tol", "steps"})
     resolution = s.get("resolution", DEFAULT_RESOLUTION)
     resolution = _build("solver.resolution", check_resolution, resolution)
     # The tol is checked with the default steps, so each error names its field.
-    tol = _build("solver.tol", SolverOptions, s.get("tol", defaults.tol)).tol
-    steps = s.get("steps", defaults.steps)
+    tol = _build("solver.tol", SolverOptions, s.get("tol", SolverOptions.tol)).tol
+    steps = s.get("steps", SolverOptions.steps)
     return resolution, _build("solver.steps", SolverOptions, tol, steps)
 
 

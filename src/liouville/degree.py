@@ -137,7 +137,11 @@ def normalized_energy(rho, a) -> float:
         is positive but below the smallest positive double.
     """
     m = as_interaction_matrix(a)
-    rho = check_reals(rho, "rho", (m.n,))
+    return _normalized_energy(check_reals(rho, "rho", (m.n,)), m)
+
+
+def _normalized_energy(rho: FloatVector, m: InteractionMatrix) -> float:
+    """normalized_energy of a rho that ``check_reals`` has already passed."""
     if np.any(rho < 0.0):
         i = int(np.argmin(rho))
         raise NegativeRho(f"rho[{i}] = {float(rho[i])!r} is negative")
@@ -196,7 +200,7 @@ def leray_schauder_degree(
         level.
     """
     _require_hypotheses(p.matrix)
-    q = normalized_energy(p.rho, p.matrix)
+    q = _normalized_energy(p.rho, p.matrix)
     cap = check_real(cap, "cap", 0.0)
     if cap < q:
         raise OutOfRange(f"normalized energy {q!r} exceeds the cap {cap!r}")
@@ -260,24 +264,16 @@ def torus_special_degree(singularities: SingularitySet, a) -> TorusDegree:
     # An inverse row sum that vanishes analytically comes back as
     # inversion noise of either sign; clamp it so the energy check sees
     # the intended zero mass instead of a spurious negative component.
-    scale = float(np.max(np.abs(rho)))
-    rho = np.where(np.abs(rho) <= 1e-12 * scale, 0.0, rho)
-    q = normalized_energy(rho, m)
-    lower, upper = (total - 1) / 2.0, (total + 1) / 2.0
+    rho = np.where(np.abs(rho) <= 1e-12 * np.abs(rho).max(), 0.0, rho)
+    instance = ProblemInstance(SurfaceSpec.torus(), singularities, m, rho)
+    q = _normalized_energy(instance.rho, m)
     expected_q = total / 2.0
     if abs(q - expected_q) > _INTEGER_TOL * max(1.0, expected_q):
         raise RuntimeError(
             f"internal error: forced-mass energy {q!r} is not {expected_q!r}"
         )
-    if not (lower < q < upper):
-        raise RuntimeError(
-            f"internal error: energy {q!r} escapes ({lower!r}, {upper!r})"
-        )
-    half_product = math.prod(1 + g for g in gammas_int)
     # Odd total forces some even factor 1+gamma_l, so the halving is exact.
-    assert half_product % 2 == 0
-    degree = half_product // 2
-    instance = ProblemInstance(SurfaceSpec.torus(), singularities, m, rho)
+    degree = math.prod(1 + g for g in gammas_int) // 2
     cap = max(DEFAULT_CAP, float(total) + 1.0)
     generic = leray_schauder_degree(instance, cap=cap)
     if generic.degree != degree:

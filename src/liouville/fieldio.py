@@ -30,7 +30,8 @@ def read_binary(path: str | Path) -> np.ndarray:
         # padded is malformed.
         header = re.fullmatch(rb"(\d+) (\d+)\n", f.readline())
         if header is None:
-            raise ValueError(f"{path}: malformed field dump header")
+            line = 'the "n M" line of a binary dump'
+            raise ValueError(f"{path}: malformed field dump header, expected {line}")
         n, m = int(header[1]), int(header[2])
         payload = f.read()
     expected = n * m * m * 8

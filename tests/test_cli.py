@@ -809,6 +809,18 @@ def test_resolution_flag_beyond_the_bound_is_rejected(tmp_path, capsys):
     assert_single_error_line(capsys, "ValueError")
 
 
+def test_verify_of_a_csv_dump_names_the_binary_dump(tmp_path, capsys):
+    dump = str(tmp_path / "F.csv")
+    assert main(["solve", str(DATA / "pair_solve.json"), "--out", dump]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(DATA / "pair_solve.json"), "--field", dump]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error[ValueError]: {dump}: malformed field dump header")
+    assert "binary dump" in line
+
+
 def test_verify_rejects_a_non_finite_dump(tmp_path, capsys):
     cfg = singular_solve_config(tmp_path)
     values = np.zeros((1, 32, 32))

@@ -310,6 +310,25 @@ def test_two_routes_agree_on_random_instances():
         assert series_route.degree == result.degree
 
 
+def test_each_degree_checks_rho_once(monkeypatch):
+    # A built instance holds a checked rho, so the degree reads it as it
+    # is; the special route checks its forced masses when it builds one.
+    names = []
+    check = liouville.degree.check_reals
+
+    def counting(values, name, *args, **kwargs):
+        names.append(name)
+        return check(values, name, *args, **kwargs)
+
+    monkeypatch.setattr(liouville.degree, "check_reals", counting)
+    instance = scalar_instance(0, (1.0, 2.0), 1.5)
+    names.clear()
+    assert leray_schauder_degree(instance).degree == 3
+    assert names.count("rho") == 0
+    assert torus_special_degree(SingularitySet((1.0, 2.0)), EXCHANGE).degree == 3
+    assert names.count("rho") == 1
+
+
 # -------------------------------------------------------- prescribed masses
 
 
