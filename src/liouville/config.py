@@ -86,33 +86,23 @@ def load_config(path: str | Path) -> InstanceConfig:
     for key in raw:
         if key not in known:
             raise ConfigError(key, "unknown config field")
-    matrix = _parse_matrix(raw)
-    n = matrix.n
+    if "matrix" not in raw:
+        raise ConfigError("matrix", "missing required field")
+    matrix = _build("matrix", InteractionMatrix, raw["matrix"])
+    n = (matrix.n,)
     resolution, solver = _parse_solver(raw)
     return InstanceConfig(
         matrix=matrix,
-        rho=_parse_vector(raw, "rho", n),
+        rho=_optional(raw, "rho", check_reals, "rho", n),
         surface=_parse_surface(raw),
         singularities=_parse_singularities(raw),
         resolution=resolution,
         solver=solver,
         **_parse_caps(raw),
-        sigma=_parse_vector(raw, "sigma", n),
-        mu=_parse_real(raw, "mu", "mu"),
-        direction=_parse_vector(raw, "direction", n),
+        sigma=_optional(raw, "sigma", check_reals, "sigma", n),
+        mu=_optional(raw, "mu", check_real, "mu", 0.0),
+        direction=_optional(raw, "direction", check_reals, "direction", n),
     )
-
-
-def _parse_matrix(raw: dict) -> InteractionMatrix:
-    if "matrix" not in raw:
-        raise ConfigError("matrix", "missing required field")
-    return _build("matrix", InteractionMatrix, raw["matrix"])
-
-
-def _parse_vector(raw: dict, field: str, n: int) -> np.ndarray | None:
-    if field not in raw:
-        return None
-    return _build(field, check_reals, raw[field], field, (n,))
 
 
 # The integer field of each typed surface form, and the constructor it feeds.
@@ -182,17 +172,19 @@ def _parse_caps(raw: dict) -> dict[str, float | None]:
     _require_object(caps, "caps", {"exponent_cap", "tolerance"})
     # A critical tolerance of 0 counts only exact hits; a cap must be positive.
     return {
-        "exponent_cap": _parse_real(caps, "caps.exponent_cap", "cap"),
-        "critical_tol": _parse_real(caps, "caps.tolerance", "critical tolerance", True),
+        "exponent_cap": _optional(caps, "caps.exponent_cap", check_real, "cap", 0.0),
+        "critical_tol": _optional(
+            caps, "caps.tolerance", check_real, "critical tolerance", 0.0, True
+        ),
     }
 
 
-def _parse_real(section: dict, field: str, name: str, closed: bool = False):
-    """section's entry for ``field``, or None, checked like the library's ``name``."""
+def _optional(section: dict, field: str, make, *args):
+    """make(entry, *args) for section's entry at dotted ``field``, or None."""
     key = field.rpartition(".")[2]
     if key not in section:
         return None
-    return _build(field, check_real, section[key], name, 0.0, closed)
+    return _build(field, make, section[key], *args)
 
 
 def _build(field: str, make, *args):
