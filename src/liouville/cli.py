@@ -198,6 +198,8 @@ def _cmd_pohozaev(cfg: InstanceConfig, args) -> tuple[dict, int]:
 
 def _solver_pieces(cfg: InstanceConfig, resolution: int):
     instance = cfg.instance()
+    if cfg.singularities.count and cfg.singularities.positions is None:
+        raise ConfigError("singularities", "this command needs the source positions")
     grid = TorusGrid(resolution)
     weights = WeightSpec.uniform(cfg.matrix.n, cfg.singularities)
     return instance, weights, grid

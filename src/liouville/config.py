@@ -70,6 +70,8 @@ def load_config(path: str | Path) -> InstanceConfig:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}", f"invalid JSON: {exc.msg}"
         ) from exc
+    except (RecursionError, ValueError) as exc:  # too deep, or a too long int
+        raise ConfigError(str(path), f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(str(path), "top-level config must be an object")
     known = {

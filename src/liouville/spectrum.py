@@ -38,9 +38,11 @@ DEFAULT_LEVEL_LIMIT = 10**6
 DEFAULT_CRITICAL_TOL = 1e-8
 
 _INT64_MAX = 2**63 - 1
+_DOUBLE_MAX = sys.float_info.max
 
 # The types of a real input; a bool, although an int, is refused apart.
-_REALS = (float, int, np.floating, np.integer)
+_NUMPY_REALS = (np.floating, np.integer)
+_REALS = (float, int, *_NUMPY_REALS)
 _BOOLS = frozenset((bool, np.bool_))
 
 
@@ -58,9 +60,14 @@ def check_real(value, name: str, low: float, closed=False, index=None) -> float:
     """value as a float; ValueError unless it is a real number (not a
     bool) that is finite and above ``low``, or at least ``low`` when
     ``closed``. The error names ``name[index]`` when an index is given."""
-    # Compared before float(), which raises OverflowError on huge ints.
+    # Compared before float(), which raises OverflowError on huge ints. A
+    # numpy scalar is compared as a double: numpy would cast the bound to a
+    # float32's precision, which overflows with a RuntimeWarning.
+    x = value
+    if type(value) is not float and type(value) is not int:
+        x = float(value) if isinstance(value, _NUMPY_REALS) else value
     if type(value) is bool or not isinstance(value, _REALS) or not (
-        (low <= value if closed else low < value) and value <= sys.float_info.max
+        (low <= x if closed else low < x) and abs(x) <= _DOUBLE_MAX
     ):
         if index is not None:
             name = f"{name}[{index}]"
@@ -102,7 +109,7 @@ def check_reals(values, name: str, shape: tuple, low=-math.inf, closed=False):
     if not ok:
         # Only to name what is wrong; an object array of ints within the
         # double range, such as [2**64], passes.
-        actual = _shape_of(values, name)
+        actual = _shape_of(values, name, len(shape) + 1)
         if not _fits(actual, shape):
             names = ", ".join(dict.fromkeys(d for d in shape if isinstance(d, str)))
             spec = str(tuple(shape)).replace("'", "")
@@ -136,14 +143,15 @@ def _fits(actual: tuple[int, ...], shape: tuple) -> bool:
     return True
 
 
-def _shape_of(values, name: str) -> tuple[int, ...]:
-    """The shape of nested lists and arrays; ValueError naming the first
-    part whose shape differs from that of its first sibling."""
+def _shape_of(values, name: str, depth: int) -> tuple[int, ...]:
+    """The shape of nested lists and arrays, read at most ``depth`` levels
+    deep; ValueError naming the first part whose shape differs from that
+    of its first sibling."""
     if isinstance(values, np.ndarray):
         return values.shape
-    if not isinstance(values, (list, tuple)):
+    if not depth or not isinstance(values, (list, tuple)):
         return ()
-    shapes = [_shape_of(v, f"{name}[{i}]") for i, v in enumerate(values)]
+    shapes = [_shape_of(v, f"{name}[{i}]", depth - 1) for i, v in enumerate(values)]
     for i, s in enumerate(shapes):
         if s != shapes[0]:
             raise ValueError(
@@ -306,11 +314,14 @@ def _levels_and_coefficients(
     cap = check_real(cap, "cap", 0.0)
     merge_tol = check_real(merge_tol, "merge_tol", 0.0, closed=True)
     mus = singularities.mus
-    candidates = (math.ceil(cap) + 1) * (1 << len(mus))
-    if candidates > DEFAULT_LEVEL_LIMIT:
+    rungs = math.ceil(cap) + 1
+    if rungs << len(mus) > DEFAULT_LEVEL_LIMIT:
+        # Stated as a product: the count itself may pass Python's limit of
+        # 4300 digits for printing an int.
         raise TooManyLevels(
-            f"{candidates} candidate levels exceed the limit "
-            f"{DEFAULT_LEVEL_LIMIT}; reduce cap or the number of sources"
+            f"(ceil(cap)+1) * 2^N = {rungs} * 2^{len(mus)} candidate levels "
+            f"exceed the limit {DEFAULT_LEVEL_LIMIT}; reduce cap or the "
+            f"number of sources"
         )
     top = math.floor(cap)
     if exponent is not None:

@@ -78,6 +78,7 @@ OPTIONAL = {
 # One entry no config should accept, planted in a small share of configs.
 POISON = (
     ("matrix", [["1"]]),
+    ("matrix", json.loads("[" * 500 + "1.0" + "]" * 500)),
     ("singularities", [{"gamma": -1.0}]),
     ("surface", {"type": "closed", "genus": -1}),
     ("solver", {"resolution": 3}),
