@@ -68,17 +68,21 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, code = args.handler(load_config(args.config), args)
-    except (LiouvilleError, ValueError, OSError) as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return next((c for t, c in _EXIT_CODES if isinstance(exc, t)), 1)
-    try:
-        _emit(payload, args.json)
+        # Rendered in full before any of it is written.
+        if args.json:
+            print(json.dumps(payload, sort_keys=True, indent=2))
+        else:
+            for line in _human_lines(payload, indent=0):
+                print(line)
         sys.stdout.flush()
-    except BrokenPipeError as exc:
+    except BrokenPipeError as exc:  # an OSError, so caught first
         # Point stdout at devnull so the flush at exit does not raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error[BrokenPipeError]: {exc}", file=sys.stderr)
         return 1
+    except (LiouvilleError, ValueError, OSError) as exc:
+        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
+        return next((c for t, c in _EXIT_CODES if isinstance(exc, t)), 1)
     return code
 
 
@@ -247,14 +251,6 @@ COMMANDS = {
     "solve": (_cmd_solve, ("--resolution", "--out")),
     "verify": (_cmd_verify, ("--field",)),
 }
-
-
-def _emit(payload: dict, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        for line in _human_lines(payload, indent=0):
-            print(line)
 
 
 def _human_lines(value, indent: int) -> list[str]:

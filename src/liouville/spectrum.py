@@ -407,12 +407,11 @@ def _binomial_ladder(e: int, top: int) -> list[int]:
     For e >= 0 this is the finite binomial row; otherwise
     c_m = C(m + K - 1, K - 1) with K = -e.
     """
-    if e >= 0:
-        ladder = [(-1) ** m * math.comb(e, m) for m in range(top + 1)]
-    else:
-        ladder = [math.comb(m - e - 1, -e - 1) for m in range(top + 1)]
-    for m, c in enumerate(ladder):
+    ladder = []
+    for m in range(top + 1):
+        c = (-1) ** m * math.comb(e, m) if e >= 0 else math.comb(m - e - 1, -e - 1)
         _check_int64(c, float(m))
+        ladder.append(c)
     return ladder
 
 
