@@ -47,13 +47,22 @@ _BOOLS = frozenset((bool, np.bool_))
 
 
 def check_integer(value, name: str, nonnegative: bool = False) -> int:
-    """value as an int; ValueError unless it is an integer (not a bool),
-    and with ``nonnegative`` unless it is also >= 0."""
+    """value as an int; ValueError unless it is an integer (not a bool)
+    in the signed 64-bit range, and with ``nonnegative`` unless it is
+    also >= 0."""
     if type(value) is bool or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if nonnegative and value < 0:
         raise ValueError(f"{name} must be nonnegative")
-    return int(value)
+    value = int(value)
+    if abs(value) > _INT64_MAX:
+        # Stated by size: the value may pass Python's limit of 4300 digits
+        # for printing an int.
+        raise ValueError(
+            f"{name} must lie in the signed 64-bit range, "
+            f"got an integer of {value.bit_length()} bits"
+        )
+    return value
 
 
 def check_real(value, name: str, low: float, closed=False, index=None) -> float:

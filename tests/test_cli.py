@@ -23,6 +23,7 @@ from liouville import (
     fieldio,
     locate_region,
 )
+from liouville import cli
 from liouville.cli import main
 from liouville.config import load_config
 from liouville.solver import MAX_RESOLUTION, MAX_STEPS, check_resolution
@@ -1191,6 +1192,20 @@ def test_a_closed_stdout_gives_one_error_line_in_process(monkeypatch, capsys):
         closed.close()
     assert code == 1
     assert_single_error_line(capsys, "BrokenPipeError")
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_a_payload_that_cannot_be_rendered_gives_one_error_line(
+    monkeypatch, capsys, flags
+):
+    # Printing an int of 5001 digits passes Python's limit of 4300; the
+    # output is rendered in full before any of it is written.
+    def huge(cfg, args):
+        return {"value": 10**5000}, 0
+
+    monkeypatch.setitem(cli.COMMANDS, "series", (huge, ("--cap",)))
+    assert main(["series", str(DATA / "readme_degree.json"), *flags]) == 1
+    assert_single_error_line(capsys, "ValueError")
 
 
 def test_solve_and_verify_print_plain_numbers(tmp_path, capsys):

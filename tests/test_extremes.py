@@ -1,11 +1,12 @@
 """Inputs at the extremes of size, one row each.
 
 A config nested deeper than its fields' rank, an integer literal past
-Python's 4,300-digit limit, more sources than the level guard allows,
-or sources without the positions the solver needs: each ends in exactly
-one typed error line that names its field, never in a traceback. The
-rows run the command line in a fresh interpreter, as a user would, and
-each must answer within 2 s.
+Python's 4,300-digit limit or the signed 64-bit range, more sources than
+the level guard allows, sources without the positions the solver needs,
+or a series whose coefficients overflow: each ends in exactly one typed
+error line that names its field, never in a traceback. The rows run the
+command line in a fresh interpreter, as a user would, and each must
+answer within 2 s.
 """
 
 import math
@@ -21,7 +22,12 @@ import pytest
 import liouville
 from liouville import fieldio
 from liouville.solver import SolverOptions
-from liouville.spectrum import SingularitySet, check_real, check_reals
+from liouville.spectrum import (
+    SingularitySet,
+    check_integer,
+    check_real,
+    check_reals,
+)
 
 SRC = os.path.dirname(os.path.dirname(liouville.__file__))
 BASE = {
@@ -32,6 +38,9 @@ BASE = {
     "solver": '{"resolution": 16}',
 }
 NO_POSITIONS = {"singularities": '[{"gamma": 1.0}]'}
+NINES = "9" * 4300  # the longest literal Python reads as an int
+HUGE_GENUS = {"surface": '{"type": "closed", "genus": %s}' % NINES}
+OUT_OF_RANGE = "must lie in the signed 64-bit range, got an integer of 14285 bits"
 
 
 def nested(leaf, depth):
@@ -44,8 +53,9 @@ def config_text(fields):
     return "{" + ", ".join(f'"{k}": {v}' for k, v in {**BASE, **fields}.items()) + "}"
 
 
-# Each row: the command, the fields it replaces, the error type and the
-# start of the message, in which {path} stands for the config's path.
+# Each row: the command with its flags, the fields it replaces, the error
+# type and the start of the message, in which {path} stands for the
+# config's path.
 ROWS = {
     "rho nested 500 deep": (
         "degree",
@@ -96,15 +106,47 @@ ROWS = {
         "ConfigError",
         "singularities: this command needs the source positions",
     ),
+    "genus of 4300 nines, series below the first level": (
+        "series --cap 0.5",
+        HUGE_GENUS,
+        "ConfigError",
+        f"surface.genus: genus {OUT_OF_RANGE}",
+    ),
+    "genus of 4300 nines, series below the first level, as JSON": (
+        "series --cap 0.5 --json",
+        HUGE_GENUS,
+        "ConfigError",
+        f"surface.genus: genus {OUT_OF_RANGE}",
+    ),
+    "genus of 4300 nines, degree": (
+        "degree",
+        HUGE_GENUS,
+        "ConfigError",
+        f"surface.genus: genus {OUT_OF_RANGE}",
+    ),
+    "chi of -(4300 nines) with one source, degree": (
+        "degree",
+        {"surface": '{"chi": -%s}' % NINES},
+        "ConfigError",
+        f"surface.chi: chi {OUT_OF_RANGE}",
+    ),
+    "chi of -10^6, series up to 10000": (
+        "series --cap 10000",
+        {"surface": '{"chi": -1000000}', "singularities": "[]"},
+        "CoefficientOverflow",
+        "coefficient 41666916667125000250000 at exponent 4.0 leaves the signed "
+        "64-bit range",
+    ),
 }
 
 
 @pytest.mark.parametrize("row", ROWS)
 def test_an_extreme_config_ends_in_one_error_line(tmp_path, row):
     command, fields, kind, message = ROWS[row]
+    command, *flags = command.split()
     path = tmp_path / "config.json"
     path.write_text(config_text(fields))
-    argv = [command, str(path)]
+    argv = [command, str(path), *flags]
     if command == "verify":
         dump = tmp_path / "fields.bin"
         fieldio.write_binary(str(dump), np.zeros((1, 16, 16)))
@@ -164,3 +206,14 @@ def test_an_int_past_2_to_the_64_is_read_as_a_double():
     assert rho.dtype == np.float64
     assert rho.tolist() == [1.8446744073709552e19, 1.0]
     assert not rho.flags.writeable
+
+
+@pytest.mark.parametrize("value", [2**63, -(2**63), 10**30, np.uint64(2**63)])
+def test_an_integer_outside_int64_is_refused_by_its_size(value):
+    bits = int(value).bit_length()
+    with pytest.raises(ValueError) as refused:
+        check_integer(value, "steps")
+    assert str(refused.value) == (
+        f"steps must lie in the signed 64-bit range, got an integer of {bits} bits"
+    )
+
