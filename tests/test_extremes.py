@@ -216,4 +216,3 @@ def test_an_integer_outside_int64_is_refused_by_its_size(value):
     assert str(refused.value) == (
         f"steps must lie in the signed 64-bit range, got an integer of {bits} bits"
     )
-
