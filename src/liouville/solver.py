@@ -198,26 +198,11 @@ def green_function(grid: TorusGrid, q: tuple[float, float]) -> FloatGrid:
     """
     m2 = float(grid.resolution) ** 2
     k = grid.wavenumbers
-    k2 = (k[:, None] ** 2 + k[None, :] ** 2).astype(np.float64)
-    inv = np.divide(
-        1.0, 4.0 * math.pi**2 * k2, out=np.zeros_like(k2), where=k2 != 0.0
-    )
-    return np.real(np.fft.ifft2(_phase(grid, q) * inv * m2))
-
-
-def band_limited_source(grid: TorusGrid, q: tuple[float, float]) -> FloatGrid:
-    """Projection of delta_q - 1 onto the grid modes; -Delta G equals it."""
-    m2 = float(grid.resolution) ** 2
-    coeffs = _phase(grid, q) * m2
-    coeffs[0, 0] = 0.0
-    return np.real(np.fft.ifft2(coeffs))
-
-
-def _phase(grid: TorusGrid, q: tuple[float, float]) -> np.ndarray:
-    """Mode factors exp(-2 pi i k.q) of a unit point mass at q."""
     qx, qy = float(q[0]) % 1.0, float(q[1]) % 1.0
-    k = grid.wavenumbers
-    return np.exp(-2j * math.pi * (k[:, None] * qx + k[None, :] * qy))
+    phase = np.exp(-2j * math.pi * (k[:, None] * qx + k[None, :] * qy))
+    # The symbol depends on |k_y| alone, so the half spectrum holds it all.
+    inv = -grid._inv_symbol[:, np.abs(k)]
+    return np.real(np.fft.ifft2(phase * inv * m2))
 
 
 def singular_weight(grid: TorusGrid, p: tuple[float, float]) -> FloatGrid:
@@ -379,17 +364,13 @@ def functional_gradient(
     """First variation of J against mean-zero directions:
     V_i = sum_j a^{ij} (-Delta u_j) - rho_i (h_i e^{u_i}/<h_i e^{u_i}> - 1).
 
-    Applying the coupling matrix A to V recovers -R(u) identically.
-    Raises as ``residual`` does.
+    Applying the coupling matrix A to V recovers -R(u) identically, so
+    V = -A^{-1} R(u). Raises as ``residual`` does.
     """
     _require_shape(p, grid, field=u.values, weights=h)
-    dens, means = _density(h, u.values)
+    r, _, _, means = _evaluate(u.values, _coupling(p), h, grid)
     _require_mass(means)
-    forcing = dens / means[:, None, None] - 1.0
-    return (
-        -np.einsum("ij,jxy->ixy", p.matrix.inverse(), grid.laplacian(u.values))
-        - p.rho[:, None, None] * forcing
-    )
+    return -np.einsum("ij,jxy->ixy", p.matrix.inverse(), r)
 
 
 @dataclass(frozen=True)
