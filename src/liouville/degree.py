@@ -69,7 +69,13 @@ class SurfaceSpec:
 
     @classmethod
     def closed_surface(cls, genus: int) -> "SurfaceSpec":
-        return cls(2 - 2 * check_integer(genus, "genus", nonnegative=True))
+        genus = check_integer(genus, "genus", nonnegative=True)
+        if genus > 2**62:
+            raise ValueError(
+                f"genus must be at most 2**62, so that chi = 2 - 2 genus lies "
+                f"in the signed 64-bit range, got {genus}"
+            )
+        return cls(2 - 2 * genus)
 
     @classmethod
     def planar_domain(cls, holes: int) -> "SurfaceSpec":

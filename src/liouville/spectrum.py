@@ -65,10 +65,10 @@ def check_integer(value, name: str, nonnegative: bool = False) -> int:
     return value
 
 
-def check_real(value, name: str, low: float, closed=False, index=None) -> float:
+def check_real(value, name: str, low: float, closed=False) -> float:
     """value as a float; ValueError unless it is a real number (not a
     bool) that is finite and above ``low``, or at least ``low`` when
-    ``closed``. The error names ``name[index]`` when an index is given."""
+    ``closed``."""
     # Compared before float(), which raises OverflowError on huge ints. A
     # numpy scalar is compared as a double: numpy would cast the bound to a
     # float32's precision, which overflows with a RuntimeWarning.
@@ -78,8 +78,6 @@ def check_real(value, name: str, low: float, closed=False, index=None) -> float:
     if type(value) is bool or not isinstance(value, _REALS) or not (
         (low <= x if closed else low < x) and abs(x) <= _DOUBLE_MAX
     ):
-        if index is not None:
-            name = f"{name}[{index}]"
         bound = f" and {'>=' if closed else '>'} {low:g}"
         if low == 0.0:
             bound = " and nonnegative" if closed else " and positive"
@@ -182,7 +180,7 @@ class SingularitySet:
 
     def __post_init__(self) -> None:
         gammas = tuple(
-            [check_real(g, "gamma", -1.0, index=l) for l, g in enumerate(self.gammas)]
+            [check_real(g, f"gamma[{l}]", -1.0) for l, g in enumerate(self.gammas)]
         )
         object.__setattr__(self, "gammas", gammas)
         if self.positions is not None:

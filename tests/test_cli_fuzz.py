@@ -15,16 +15,21 @@ import io
 import json
 import math
 import re
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from liouville.cli import COMMANDS, main
 
 DATA = Path(__file__).parent / "data"
+# Hypothesis raises the recursion limit while a test runs. The command
+# line runs under the interpreter's own, so the fuzz test does too, or a
+# recursion fault the command line would hit could not show here.
+RECURSION_LIMIT = sys.getrecursionlimit()
 
 EDGES = (0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e300, -1e300, 1.7e308, -1.7e308, 5e-324)
 CAPS = (0.5, 3.0, 20.0, 1e9, 1e300)
@@ -75,10 +80,12 @@ OPTIONAL = {
         st.sampled_from((0.5, 1.0, 1e300, 1.7e308, 5e-324)), positive
     ),
 }
+# A matrix nested past its rank, as deep as a config may nest.
+DEEP_TEXT = "[" * 500 + "1.0" + "]" * 500
 # One entry no config should accept, planted in a small share of configs.
 POISON = (
     ("matrix", [["1"]]),
-    ("matrix", json.loads("[" * 500 + "1.0" + "]" * 500)),
+    ("matrix", json.loads(DEEP_TEXT)),
     ("singularities", [{"gamma": -1.0}]),
     ("surface", {"type": "closed", "genus": -1}),
     ("solver", {"resolution": 3}),
@@ -155,14 +162,22 @@ def reject_constant(name):
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 @given(cfg=configs(), argv=invocations())
+# The deepest nesting, whatever the draw, given as JSON text: Hypothesis
+# prints an explicit example's arguments, one call per level.
+@example(cfg='{"matrix": %s, "rho": [1.0]}' % DEEP_TEXT, argv=["degree", "--json"])
 def test_every_config_gives_an_answer_or_one_error_line(tmp_path_factory, cfg, argv):
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([argv[0], str(path), *argv[1:]])
+            raised = sys.getrecursionlimit()
+            sys.setrecursionlimit(RECURSION_LIMIT)
+            try:
+                code = main([argv[0], str(path), *argv[1:]])
+            finally:
+                sys.setrecursionlimit(raised)
     assert code in range(5)
     assert [str(w.message) for w in caught] == []
     if out.getvalue():

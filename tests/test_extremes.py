@@ -1,10 +1,11 @@
 """Inputs at the extremes of size, one row each.
 
 A config nested deeper than its fields' rank, an integer literal past
-Python's 4,300-digit limit or the signed 64-bit range, more sources than
-the level guard allows, sources without the positions the solver needs,
-or a series whose coefficients overflow: each ends in exactly one typed
-error line that names its field, never in a traceback. The rows run the
+Python's 4,300-digit limit or the signed 64-bit range, a genus whose
+chi = 2 - 2 genus leaves that range, more sources than the level guard
+allows, sources without the positions the solver needs, or a series
+whose coefficients overflow: each ends in exactly one typed error line
+that names its field, never in a traceback. The rows run the
 command line in a fresh interpreter, as a user would, and each must
 answer within 2 s.
 """
@@ -41,6 +42,10 @@ NO_POSITIONS = {"singularities": '[{"gamma": 1.0}]'}
 NINES = "9" * 4300  # the longest literal Python reads as an int
 HUGE_GENUS = {"surface": '{"type": "closed", "genus": %s}' % NINES}
 OUT_OF_RANGE = "must lie in the signed 64-bit range, got an integer of 14285 bits"
+GENUS_BOUND = (
+    "must be at most 2**62, so that chi = 2 - 2 genus lies in the signed "
+    "64-bit range"
+)
 
 
 def nested(leaf, depth):
@@ -123,6 +128,18 @@ ROWS = {
         HUGE_GENUS,
         "ConfigError",
         f"surface.genus: genus {OUT_OF_RANGE}",
+    ),
+    "genus of 2^62 + 1, degree": (
+        "degree",
+        {"surface": '{"type": "closed", "genus": %d}' % (2**62 + 1)},
+        "ConfigError",
+        f"surface.genus: genus {GENUS_BOUND}, got {2**62 + 1}",
+    ),
+    "genus of 2^63 - 1, degree": (
+        "degree",
+        {"surface": '{"type": "closed", "genus": %d}' % (2**63 - 1)},
+        "ConfigError",
+        f"surface.genus: genus {GENUS_BOUND}, got {2**63 - 1}",
     ),
     "chi of -(4300 nines) with one source, degree": (
         "degree",
